@@ -246,43 +246,37 @@ def _intersect_3d(hs: list[Halfspace]) -> Polytope:
 
     ints = _int_halfspaces(hs)
     m = len(ints)
+    # the boundary planes i < j < k meet in x = (ci (nj x nk) - cj (ni x nk)
+    # + ck (ni x nj)) / det with det = ni . (nj x nk): every triple reads
+    # its determinant and Cramer numerators off the pairwise cross products
+    crosses = [
+        [None] * (i + 1) + [cross3(ints[i][0], ints[j][0]) for j in range(i + 1, m)]
+        for i in range(m)
+    ]
     found: set[Vec] = set()
     for i in range(m):
-        ni, ci = ints[i]
+        (a0, a1, a2), ci = ints[i]
+        cross_i = crosses[i]
         for j in range(i + 1, m):
-            nj, cj = ints[j]
+            cj = ints[j][1]
+            ij0, ij1, ij2 = cross_i[j]
+            cross_j = crosses[j]
             for k in range(j + 1, m):
-                nk, ck = ints[k]
-                det = (
-                    ni[0] * (nj[1] * nk[2] - nj[2] * nk[1])
-                    - ni[1] * (nj[0] * nk[2] - nj[2] * nk[0])
-                    + ni[2] * (nj[0] * nk[1] - nj[1] * nk[0])
-                )
+                jk0, jk1, jk2 = cross_j[k]
+                det = a0 * jk0 + a1 * jk1 + a2 * jk2
                 if det == 0:
                     continue
-                # Cramer numerators for the solution of the three boundary planes.
-                xs = []
-                cols = (ci, cj, ck)
-                rows = (ni, nj, nk)
-                for axis in range(3):
-                    mat = [
-                        [cols[r] if c == axis else rows[r][c] for c in range(3)]
-                        for r in range(3)
-                    ]
-                    xs.append(
-                        mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-                        - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-                        + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-                    )
-                ok = True
-                for n, c in ints:
-                    lhs = n[0] * xs[0] + n[1] * xs[1] + n[2] * xs[2]
-                    rhs = c * det
-                    if (lhs < rhs) if det > 0 else (lhs > rhs):
-                        ok = False
-                        break
+                ck = ints[k][1]
+                ik0, ik1, ik2 = cross_i[k]
+                x0 = ci * jk0 - cj * ik0 + ck * ij0
+                x1 = ci * jk1 - cj * ik1 + ck * ij1
+                x2 = ci * jk2 - cj * ik2 + ck * ij2
+                if det > 0:
+                    ok = all(n0 * x0 + n1 * x1 + n2 * x2 >= c * det for (n0, n1, n2), c in ints)
+                else:
+                    ok = all(n0 * x0 + n1 * x1 + n2 * x2 <= c * det for (n0, n1, n2), c in ints)
                 if ok:
-                    found.add(tuple(Fraction(x, det) for x in xs))
+                    found.add((Fraction(x0, det), Fraction(x1, det), Fraction(x2, det)))
     if not found:
         return Polytope(base, (), 3, None, empty=True, unbounded=False)
     verts = sorted(found)
@@ -420,7 +414,8 @@ def _centroid_of_vertices(verts: list[Vec], adim: int | None, halfspaces) -> Vec
             if any(x != 0 for x in c):
                 normal = c
                 break
-        assert normal is not None
+        if normal is None:
+            raise RuntimeError("a 2-dimensional face needs two independent edges")
         b2 = cross3(normal, b1)
         g11, g12, g22 = dot(b1, b1), dot(b1, b2), dot(b2, b2)
         coords = [(dot(b1, vsub(v, base)), dot(b2, vsub(v, base))) for v in verts]

@@ -28,7 +28,10 @@ thousands of points and tolerates degenerate (affinely deficient) data.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,10 +51,18 @@ from .geometry import (
     Vec,
     affine_dimension,
     as_fraction,
+    cross3,
     dataset,
     halfspace,
+    vsub,
 )
-from .polytope import Polytope, barycenter, intersect_halfspaces, vertex_centroid
+from .polytope import (
+    Polytope,
+    _int_halfspaces,
+    barycenter,
+    intersect_halfspaces,
+    vertex_centroid,
+)
 
 _MAX_CUT_ROUNDS = 500
 
@@ -95,19 +106,63 @@ class MedianResult:
 
 # ---------------------------------------------------------------------------
 # certificates
+#
+# All counting runs on the dataset's integer rows (``DataSet.scaled_ints``):
+# a halfspace ``N . x >= c`` with integer N and c holds the point of row r
+# iff ``N . r >= c * scale``.
 
 
-def _boundary_split(ds: DataSet, h: Halfspace):
-    """Indices strictly below / exactly on the boundary of ``h``."""
-    cut = []
+def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
+    """Cut count and boundary indices of ``{r : normal . r >= level}``."""
+    cut = 0
     boundary = []
-    for i, p in enumerate(ds.points):
-        s = sum(nc * pc for nc, pc in zip(h.normal, p)) - h.offset
-        if s < 0:
-            cut.append(i)
-        elif s == 0:
+    for i, r in enumerate(rows):
+        s = sum(map(operator.mul, normal, r))
+        if s < level:
+            cut += 1
+        elif s == level:
             boundary.append(i)
-    return cut, boundary
+    return cut, tuple(boundary)
+
+
+def _sweep_records(
+    rows: list[tuple[int, ...]], normal: tuple[int, ...], boundary: tuple[int, ...]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Running-maximum ``(swept, pivot indices)`` over the pivots in order.
+
+    A pivot is one boundary location (d=2) or the line through two of them
+    (d=3, pairs in ``itertools.combinations`` order), each named by the
+    first boundary index at its location.  Rotating the boundary about the
+    pivot, in the sense that cuts more, newly cuts ``swept`` boundary
+    points.  At any allowance the first pivot sweeping past it is the first
+    record doing so.  The records do not depend on the sign of ``normal``.
+    """
+    first: dict[tuple[int, ...], int] = {}
+    for i in boundary:
+        first.setdefault(rows[i], i)
+    locs = list(first.items())
+    if len(normal) == 2:
+        tangents = [((-normal[1], normal[0]), la, (ia,)) for la, ia in locs]
+    else:
+        tangents = [
+            (cross3(normal, vsub(lb, la)), la, (ia, ib))
+            for (la, ia), (lb, ib) in itertools.combinations(locs, 2)
+        ]
+    records = []
+    best = 0
+    for tangent, la, pivot in tangents:
+        plus = minus = 0
+        for i in boundary:
+            s = sum(tc * (pc - ac) for tc, pc, ac in zip(tangent, rows[i], la))
+            if s > 0:
+                plus += 1
+            elif s < 0:
+                minus += 1
+        swept = max(plus, minus)
+        if swept > best:
+            best = swept
+            records.append((swept, pivot))
+    return tuple(records)
 
 
 def certificate_for(ds: DataSet, h: Halfspace, tau: object) -> IrrotatableCertificate | None:
@@ -117,80 +172,96 @@ def certificate_for(ds: DataSet, h: Halfspace, tau: object) -> IrrotatableCertif
         raise ValueError("tau must lie in (0, 1]")
     if len(h.normal) != ds.dim:
         raise ValueError("halfspace dimension does not match dataset")
+    if ds.dim > 3:
+        raise ValueError("certificates support d <= 3")
     k = quantile_index(ds.n, tau)
-    allowance = k - 1
-    cut, boundary = _boundary_split(ds, h)
-    if len(cut) > allowance:
+    scale, rows = ds.scaled_ints()
+    ((normal, offset),) = _int_halfspaces([h])
+    cut, boundary = _split(rows, normal, offset * scale)
+    if cut > k - 1 or not boundary:
         return None
-    d = ds.dim
-
-    if d == 1:
+    if ds.dim == 1:
         # no rotations exist on a line; the halfspace is pinned as soon as
         # its boundary passes through a sample point
-        if boundary:
-            return IrrotatableCertificate(
-                h, tau, k, len(cut), tuple(boundary), (boundary[0],), 0
-            )
-        return None
-
-    if d == 2:
-        locs: dict[Vec, int] = {}
-        for i in boundary:
-            locs.setdefault(ds.points[i], i)
-        tangent = (-h.normal[1], h.normal[0])
-        for pivot_loc, pivot_idx in locs.items():
-            plus = minus = 0
-            for i in boundary:
-                s = sum(tc * (pc - vc) for tc, pc, vc in zip(tangent, ds.points[i], pivot_loc))
-                if s > 0:
-                    plus += 1
-                elif s < 0:
-                    minus += 1
-            swept = max(plus, minus)
-            if len(cut) + swept > allowance:
-                return IrrotatableCertificate(
-                    h, tau, k, len(cut), tuple(boundary), (pivot_idx,), swept
-                )
-        return None
-
-    if d == 3:
-        locs3: dict[Vec, int] = {}
-        for i in boundary:
-            locs3.setdefault(ds.points[i], i)
-        uniq = list(locs3.items())
-        for (la, ia), (lb, ib) in itertools.combinations(uniq, 2):
-            axis = tuple(b - a for a, b in zip(la, lb))
-            # in-plane direction perpendicular to the pivot axis
-            tangent = _cross3(h.normal, axis)
-            if all(c == 0 for c in tangent):
-                continue
-            plus = minus = 0
-            for i in boundary:
-                s = sum(tc * (pc - ac) for tc, pc, ac in zip(tangent, ds.points[i], la))
-                if s > 0:
-                    plus += 1
-                elif s < 0:
-                    minus += 1
-            swept = max(plus, minus)
-            if len(cut) + swept > allowance:
-                return IrrotatableCertificate(
-                    h, tau, k, len(cut), tuple(boundary), (ia, ib), swept
-                )
-        return None
-
-    raise ValueError("certificates support d <= 3")
+        return IrrotatableCertificate(h, tau, k, cut, boundary, boundary[:1], 0)
+    for swept, pivot in _sweep_records(rows, normal, boundary):
+        if cut + swept > k - 1:
+            return IrrotatableCertificate(h, tau, k, cut, boundary, pivot, swept)
+    return None
 
 
 def is_irrotatable(ds: DataSet, h: Halfspace, tau: object) -> bool:
     return certificate_for(ds, h, tau) is not None
 
 
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+_SCOPE = "level_scope"
+
+
+@contextlib.contextmanager
+def _level_scope(ds: DataSet, deadline: float | None):
+    """Share the level-independent work of one region or median call.
+
+    While open, ``ds._cache`` holds the 3-D candidate plane table (built on
+    first use, under ``deadline``) and a vertex -> ``depth_count`` dict,
+    both valid at every level.  Nested calls join the open scope; leaving
+    the outermost one drops both, so neither outlives the call.
+    """
+    scope = ds._cache.get(_SCOPE)
+    if scope is not None:
+        yield scope
+        return
+    scope = {"deadline": deadline, "planes": None, "counts": {}}
+    ds._cache[_SCOPE] = scope
+    try:
+        yield scope
+    finally:
+        del ds._cache[_SCOPE]
+
+
+def _vertex_count(ds: DataSet, v: Vec, counts: dict[Vec, int]) -> int:
+    cnt = counts.get(v)
+    if cnt is None:
+        cnt = depth_count(v, ds)
+        counts[v] = cnt
+    return cnt
+
+
+def _plane_table(ds: DataSet, deadline: float | None):
+    """Every candidate plane of the 3-D enumeration, with its level-free data.
+
+    Candidates are the planes through triples of distinct locations (sorted,
+    ``itertools.combinations`` order), each as ``u`` and then ``-u``, where
+    ``u`` is the cross product of the triple's differences; a plane already
+    met is skipped, keyed by its primitive normal and offset.  Each entry is
+    ``(halfspace, cut count, boundary indices, sweep records)``; both
+    orientations share boundary and records.  The halfspace holds the very
+    Fractions ``u / scale**2`` and ``u . a / scale**3`` of the data points.
+    """
+    scale, rows = ds.scaled_ints()
+    s2, s3 = scale**2, scale**3
+    n = len(rows)
+    seen: set = set()
+    table = []
+    for a, b, c in itertools.combinations(sorted(set(rows)), 3):
+        u = cross3(vsub(b, a), vsub(c, a))
+        if u == (0, 0, 0):
+            continue
+        g = math.gcd(*u)
+        p = (u[0] // g, u[1] // g, u[2] // g)
+        off = p[0] * a[0] + p[1] * a[1] + p[2] * a[2]
+        if (p, off) in seen:
+            continue
+        seen.add((p, off))
+        seen.add(((-p[0], -p[1], -p[2]), -off))
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("region construction exceeded its deadline")
+        cut, boundary = _split(rows, p, off)
+        records = _sweep_records(rows, p, boundary)
+        h = Halfspace(tuple(Fraction(x, s2) for x in u), Fraction(g * off, s3))
+        flipped = Halfspace(tuple(-x for x in h.normal), -h.offset)
+        table.append((h, cut, boundary, records))
+        table.append((flipped, n - cut - len(boundary), boundary, records))
+    return table
 
 
 def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertificate, ...]:
@@ -225,12 +296,10 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
                 out.append(cert)
         return tuple(out)
 
-    seen: set = set()
     out: list[IrrotatableCertificate] = []
-    uniq_pts = sorted(set(ds.points))
-
     if d == 2:
-        for a, b in itertools.combinations(uniq_pts, 2):
+        seen: set = set()
+        for a, b in itertools.combinations(sorted(set(ds.points)), 2):
             t = tuple(bb - aa for aa, bb in zip(a, b))
             for normal in ((-t[1], t[0]), (t[1], -t[0])):
                 h = halfspace(normal, sum(nc * ac for nc, ac in zip(normal, a)))
@@ -243,22 +312,22 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
                     out.append(cert)
         return tuple(out)
 
-    for a, b, c in itertools.combinations(uniq_pts, 3):
-        u = _cross3(
-            tuple(bb - aa for aa, bb in zip(a, b)),
-            tuple(cc - aa for aa, cc in zip(a, c)),
-        )
-        if all(x == 0 for x in u):
+    # d == 3: read the level off the plane table, built once per open scope
+    scope = ds._cache.get(_SCOPE)
+    if scope is None:
+        table = _plane_table(ds, None)
+    else:
+        if scope["planes"] is None:
+            scope["planes"] = _plane_table(ds, scope["deadline"])
+        table = scope["planes"]
+    k = quantile_index(ds.n, tau)
+    for h, cut, boundary, records in table:
+        if cut > k - 1:
             continue
-        for normal in (u, tuple(-x for x in u)):
-            h = halfspace(normal, sum(nc * ac for nc, ac in zip(normal, a)))
-            key = h.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            cert = certificate_for(ds, h, tau)
-            if cert is not None:
-                out.append(cert)
+        for swept, pivot in records:
+            if cut + swept > k - 1:
+                out.append(IrrotatableCertificate(h, tau, k, cut, boundary, pivot, swept))
+                break
     return tuple(out)
 
 
@@ -368,7 +437,8 @@ def _region_by_cuts_2d(
         poly = intersect_halfspaces(constraints, dim=2)
         if poly.empty:
             return poly, directions
-        assert not poly.unbounded, "quantile box must bound the region search"
+        if poly.unbounded:
+            raise RuntimeError("quantile box must bound the region search")
         added = False
         for v in poly.vertices:
             cnt = certified.get(v)
@@ -478,13 +548,13 @@ def _complement_normals(basis: list[Vec], dim: int) -> list[Vec]:
     if dim != 3:
         raise ValueError("complement construction implemented for ambient d=3")
     if len(basis) == 2:
-        return [_cross3(basis[0], basis[1])]
+        return [cross3(basis[0], basis[1])]
     if len(basis) == 1:
         b = basis[0]
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            n1 = _cross3(b, e)
+            n1 = cross3(b, e)
             if any(c != 0 for c in n1):
-                return [n1, _cross3(b, n1)]
+                return [n1, cross3(b, n1)]
     if len(basis) == 0:
         return [(Fraction(1), Fraction(0), Fraction(0)),
                 (Fraction(0), Fraction(1), Fraction(0)),
@@ -571,27 +641,26 @@ def _inner_point(poly: Polytope) -> Vec:
 
 
 def _region_3d_lazy_certificates(
-    ds: DataSet, tau: Fraction, k: int, deadline: float | None
+    ds: DataSet, tau: Fraction, k: int, deadline: float | None, counts: dict[Vec, int]
 ) -> Polytope:
-    """Cutting loop over the (complete) certificate family in space."""
+    """Cutting loop over the (complete) certificate family in space.
+
+    ``counts`` caches vertex depth counts; they hold at every level.
+    """
     certs = enumerate_irrotatable(ds, tau)
     family = [c.halfspace for c in certs]
     constraints = _axis_quantile_box(ds, tau)
-    certified: dict[Vec, int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("region construction exceeded its deadline")
         poly = intersect_halfspaces(constraints, dim=3)
         if poly.empty:
             return poly
-        assert not poly.unbounded
+        if poly.unbounded:
+            raise RuntimeError("quantile box must bound the region search")
         new_cuts: list[Halfspace] = []
         for v in poly.vertices:
-            cnt = certified.get(v)
-            if cnt is None:
-                cnt = depth_count(v, ds)
-                certified[v] = cnt
-            if cnt >= k:
+            if _vertex_count(ds, v, counts) >= k:
                 continue
             if any(not h.contains(v) for h in new_cuts):
                 continue  # a cut added this round already excludes it
@@ -646,7 +715,8 @@ def depth_region(
     # d == 3
     ad = affine_dimension(ds)
     if ad == 3:
-        poly = _region_3d_lazy_certificates(ds, tau, k, deadline)
+        with _level_scope(ds, deadline) as scope:
+            poly = _region_3d_lazy_certificates(ds, tau, k, deadline, scope["counts"])
         return RegionResult(poly, tau, k, "cuts")
     if ad == 0:
         loc = ds.points[0]
@@ -714,6 +784,18 @@ def median_region(
         med = ((lo + hi) / 2,)
         return MedianResult(poly, lam, med, average)
 
+    with _level_scope(ds, deadline) as scope:
+        best_poly, best_k = _bisect_levels(ds, deadline, scope["counts"])
+    lam = Fraction(best_k, n)
+    med = vertex_centroid(best_poly) if average == "vertices" else barycenter(best_poly)
+    return MedianResult(best_poly, lam, med, average)
+
+
+def _bisect_levels(
+    ds: DataSet, deadline: float | None, counts: dict[Vec, int]
+) -> tuple[Polytope, int]:
+    """The deepest nonempty level k and its region (d = 2 or 3)."""
+    n = ds.n
     seeds: list[Vec] = []
 
     def build(k: int) -> Polytope:
@@ -741,14 +823,13 @@ def median_region(
             best_poly = poly
             best_k = k_try
             # region vertices often reveal deeper points; jump if so
-            deepest = max(depth_count(v, ds) for v in poly.vertices)
+            deepest = max(_vertex_count(ds, v, counts) for v in poly.vertices)
             if deepest > k_lo:
                 k_lo = deepest
                 best_k = None  # the floor must be re-established by a build
-    assert best_poly is not None and best_k is not None
-    lam = Fraction(best_k, n)
-    med = vertex_centroid(best_poly) if average == "vertices" else barycenter(best_poly)
-    return MedianResult(best_poly, lam, med, average)
+    if best_poly is None or best_k is None:
+        raise RuntimeError("median search ended without a certified level")
+    return best_poly, best_k
 
 
 def halfspace_median(ds: DataSet, average: str = "barycenter") -> Vec:

@@ -229,3 +229,151 @@ def reference_bracketing_criticals_2d(ds: DataSet, u, contact):
             elif best_right is None or w[0] * best_right[1] - w[1] * best_right[0] < 0:
                 best_right = w
     return [tuple(Fraction(c) for c in w) for w in (best_left, best_right) if w is not None]
+
+
+# ---------------------------------------------------------------------------
+# reference formulas of the certificate layer and of the 3-D vertex solve,
+# in Fractions and per-triple determinants
+
+
+def _reference_cross3(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def reference_certificate_for(ds: DataSet, h, tau):
+    """The pinning certificate of ``h`` at ``tau`` by Fraction dot products."""
+    from halfmed.regions import IrrotatableCertificate
+
+    tau = Fraction(tau)
+    k = -((-(tau.numerator * ds.n)) // tau.denominator)
+    cut = []
+    boundary = []
+    for i, p in enumerate(ds.points):
+        s = sum(nc * pc for nc, pc in zip(h.normal, p)) - h.offset
+        if s < 0:
+            cut.append(i)
+        elif s == 0:
+            boundary.append(i)
+    if len(cut) > k - 1:
+        return None
+    if ds.dim == 1:
+        if boundary:
+            return IrrotatableCertificate(
+                h, tau, k, len(cut), tuple(boundary), (boundary[0],), 0
+            )
+        return None
+    locs: dict = {}
+    for i in boundary:
+        locs.setdefault(ds.points[i], i)
+    if ds.dim == 2:
+        t = (-h.normal[1], h.normal[0])
+        pivots = [(t, loc, (i,)) for loc, i in locs.items()]
+    else:
+        pivots = [
+            (_reference_cross3(h.normal, tuple(b - a for a, b in zip(la, lb))), la, (ia, ib))
+            for (la, ia), (lb, ib) in itertools.combinations(list(locs.items()), 2)
+        ]
+    for tangent, anchor, pivot in pivots:
+        plus = minus = 0
+        for i in boundary:
+            s = sum(tc * (pc - ac) for tc, pc, ac in zip(tangent, ds.points[i], anchor))
+            if s > 0:
+                plus += 1
+            elif s < 0:
+                minus += 1
+        swept = max(plus, minus)
+        if len(cut) + swept > k - 1:
+            return IrrotatableCertificate(
+                h, tau, k, len(cut), tuple(boundary), pivot, swept
+            )
+    return None
+
+
+def reference_candidate_planes_3d(ds: DataSet):
+    """Planes through triples of sorted distinct points, u then -u, deduplicated
+    by ``canonical_key``: the candidate order of the 3-D enumeration."""
+    from halfmed.geometry import halfspace
+
+    seen = set()
+    for a, b, c in itertools.combinations(sorted(set(ds.points)), 3):
+        u = _reference_cross3(
+            tuple(bb - aa for aa, bb in zip(a, b)),
+            tuple(cc - aa for aa, cc in zip(a, c)),
+        )
+        if all(x == 0 for x in u):
+            continue
+        for normal in (u, tuple(-x for x in u)):
+            h = halfspace(normal, sum(nc * ac for nc, ac in zip(normal, a)))
+            key = h.canonical_key()
+            if key not in seen:
+                seen.add(key)
+                yield h
+
+
+def reference_enumerate_irrotatable_3d(ds: DataSet, tau):
+    """Every 3-D certificate at ``tau``, one Fraction pass per candidate."""
+    out = []
+    for h in reference_candidate_planes_3d(ds):
+        cert = reference_certificate_for(ds, h, tau)
+        if cert is not None:
+            out.append(cert)
+    return tuple(out)
+
+
+def reference_intersect_3d(hs):
+    """The 3-D intersection with every vertex solved by three 3x3 Cramer
+    determinants per triple of boundary planes."""
+    from halfmed.geometry import affine_dimension
+    from halfmed.polytope import (
+        Polytope,
+        _equality_dim,
+        _feasible,
+        _order_planar_cycle,
+        _unbounded_direction_3d,
+    )
+
+    base = tuple(hs)
+    if _unbounded_direction_3d(hs):
+        if _feasible(hs, 3):
+            return Polytope(base, (), 3, _equality_dim(hs, 3), empty=False, unbounded=True)
+        return Polytope(base, (), 3, None, empty=True, unbounded=False)
+    ints = []
+    for h in hs:
+        den = 1
+        for c in (*h.normal, h.offset):
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        ints.append((tuple(int(c * den) for c in h.normal), int(h.offset * den)))
+
+    def det3(rows):
+        return (
+            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+        )
+
+    found = set()
+    for (ni, ci), (nj, cj), (nk, ck) in itertools.combinations(ints, 3):
+        rows = (ni, nj, nk)
+        det = det3(rows)
+        if det == 0:
+            continue
+        cols = (ci, cj, ck)
+        xs = [
+            det3([[cols[r] if c == axis else rows[r][c] for c in range(3)] for r in range(3)])
+            for axis in range(3)
+        ]
+        if all(
+            (sum(a * x for a, x in zip(n, xs)) - c * det) * det >= 0 for n, c in ints
+        ):
+            found.add(tuple(Fraction(x, det) for x in xs))
+    if not found:
+        return Polytope(base, (), 3, None, empty=True, unbounded=False)
+    verts = sorted(found)
+    adim = affine_dimension(verts)
+    if adim == 2:
+        verts = _order_planar_cycle(verts)
+    return Polytope(base, tuple(verts), 3, adim, empty=False, unbounded=False)

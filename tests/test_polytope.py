@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 from halfmed.geometry import dataset, halfspace, point
 from halfmed.polytope import (
+    _intersect_3d,
     barycenter,
     clip_polygon,
     dedup_halfspaces,
@@ -13,7 +14,7 @@ from halfmed.polytope import (
     write_region_files,
 )
 
-from oracles import random_dataset
+from oracles import random_dataset, reference_intersect_3d
 
 
 def _square(lo=0, hi=1):
@@ -174,6 +175,62 @@ class TestIntersect3D:
         hs = [halfspace((0, 0, 1), 1), halfspace((0, 0, -1), 0)]
         p = intersect_halfspaces(hs)
         assert p.empty
+
+
+def _random_halfspaces_3d(rng):
+    """A box plus four to six planes through one point, parallel copies,
+    coincident copies (rescaled, or reversed to pin a flat) and random
+    planes, shuffled."""
+    b = rng.randint(2, 5)
+    hs = []
+    for i in range(3):
+        e = [0, 0, 0]
+        e[i] = 1
+        hs.append(halfspace(tuple(e), -b))
+        e[i] = -1
+        hs.append(halfspace(tuple(e), -b))
+    apex = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+
+    def small_normal():
+        while True:
+            n = tuple(rng.randint(-3, 3) for _ in range(3))
+            if n != (0, 0, 0):
+                return n
+
+    for _ in range(rng.randint(4, 6)):
+        n = small_normal()
+        hs.append(halfspace(n, sum(a * c for a, c in zip(n, apex))))
+    for _ in range(rng.randint(0, 3)):
+        h = rng.choice(hs)
+        hs.append(halfspace(h.normal, h.offset + F(rng.randint(-3, 3), 2)))
+    for _ in range(rng.randint(0, 2)):
+        h = rng.choice(hs)
+        s = F(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1))
+        hs.append(halfspace(tuple(s * c for c in h.normal), s * h.offset))
+    for _ in range(rng.randint(0, 3)):
+        hs.append(halfspace(small_normal(), F(rng.randint(-6, 6), rng.randint(1, 2))))
+    rng.shuffle(hs)
+    return hs, apex
+
+
+class TestIntersect3DMatchesCramerReference:
+    def test_random_degenerate_sets(self):
+        rng = random.Random(4242)
+        apex_vertices = 0
+        kinds = set()
+        for _ in range(150):
+            hs, apex = _random_halfspaces_3d(rng)
+            got = _intersect_3d(hs)
+            assert got == reference_intersect_3d(hs), hs
+            assert repr(got) == repr(reference_intersect_3d(hs))
+            apex_vertices += apex in got.vertices
+            kinds.add(None if got.empty else got.affine_dim)
+            deduped = intersect_halfspaces(hs)
+            assert deduped.vertices == reference_intersect_3d(dedup_halfspaces(hs)).vertices
+        # the draws reach vertices with four or more planes through them,
+        # empty sets and flat as well as solid polytopes
+        assert apex_vertices >= 20
+        assert {None, 2, 3} <= kinds
 
 
 class TestClipPolygon:

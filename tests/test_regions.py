@@ -6,7 +6,9 @@ batteries re-verify the region machinery against that oracle on degenerate
 (duplicated / collinear) instances.
 """
 
+import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -24,13 +26,18 @@ from halfmed import (
     tukey_depth,
 )
 
+from halfmed import polytope, regions
 from halfmed.regions import _bracketing_criticals_2d, _contact_location
 from oracles import (
     oracle_depth_count,
     random_dataset,
     random_probe,
     reference_bracketing_criticals_2d,
+    reference_candidate_planes_3d,
+    reference_certificate_for,
     reference_contact_location,
+    reference_enumerate_irrotatable_3d,
+    reference_intersect_3d,
 )
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
@@ -215,8 +222,6 @@ class TestCertificates:
 
 
 def _has_collinear_triple(ds) -> bool:
-    import itertools
-
     for a, b, c in itertools.combinations(ds.points, 3):
         if (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]):
             return True
@@ -258,6 +263,125 @@ class TestCuttingHelpersMatchFractionFormulas:
         rng = random.Random(99)
         for _ in range(15):
             self._check(random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4))
+
+
+# ---------------------------------------------------------------------------
+# the integer certificate layer against the Fraction reference
+
+# six coplanar points on z = 0 (square corners, centre, edge midpoint),
+# collinear triples along y = 0, along both diagonals of the square and
+# along (0, 0, 1) + t (1, 1, 1), and duplicated locations on and off z = 0
+CLUSTER_3D = dataset(
+    [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 0), (1, 0, 0), (1, 1, 0),
+     (1, 1, 2), (1, 1, 2), (0, 0, 1), (F(1, 2), F(1, 2), F(3, 2)), (3, 1, 1)]
+)
+
+
+def _degenerate_3d_sets(seed, count, max_n):
+    """Full-dimensional 3-D sets on a coarse grid: duplicates, collinear
+    triples and many coplanar quadruples."""
+    from halfmed import affine_dimension
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ds = random_dataset(rng, 3, max_n=max_n, dup_prob=0.3, collinear_prob=0.3,
+                            denom=2, span=1)
+        if affine_dimension(ds) == 3:
+            out.append(ds)
+    return out
+
+
+def _scaled(h, s):
+    return halfspace(tuple(s * c for c in h.normal), s * h.offset)
+
+
+class TestCertificatesMatchFractionReference:
+    """Certificates equal the Fraction reference in every field and in order.
+
+    Their order fixes the cut order of the 3-D cutting loop, and so every
+    vertex of a 3-D region.
+    """
+
+    def test_enumeration_at_every_level(self):
+        for ds in [CLUSTER_3D] + _degenerate_3d_sets(2027, 8, 10):
+            for k in range(1, ds.n + 1):
+                got = enumerate_irrotatable(ds, F(k, ds.n))
+                want = reference_enumerate_irrotatable_3d(ds, F(k, ds.n))
+                assert got == want, (ds.points, k)
+                assert repr(got) == repr(want)
+
+    def test_certificate_for_3d(self):
+        rng = random.Random(31)
+        for ds in [CLUSTER_3D] + _degenerate_3d_sets(2028, 4, 9):
+            planes = list(reference_candidate_planes_3d(ds))
+            # the same planes with rescaled Fraction data, and planes with
+            # small normals through sample points
+            planes += [_scaled(h, F(3, 7)) for h in planes[::3]]
+            for _ in range(20):
+                nrm = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(1, 2))
+                p = rng.choice(ds.points)
+                planes.append(halfspace(nrm, sum(a * b for a, b in zip(nrm, p))))
+            for h in planes:
+                for k in range(1, ds.n + 1):
+                    tau = F(k, ds.n)
+                    assert certificate_for(ds, h, tau) == reference_certificate_for(ds, h, tau)
+
+    def test_certificate_for_1d_and_2d(self):
+        rng = random.Random(32)
+        for dim in (1, 2):
+            for _ in range(12):
+                ds = random_dataset(rng, dim, max_n=9, dup_prob=0.4, collinear_prob=0.4)
+                pts = sorted(set(ds.points))
+                normals = [(1,)] if dim == 1 else [
+                    (a[1] - b[1], b[0] - a[0]) for a, b in itertools.combinations(pts, 2)
+                ]
+                planes = []
+                for w in normals:
+                    for a in pts:
+                        h = halfspace(w, sum(x * y for x, y in zip(w, a)))
+                        planes += [h, _scaled(h, F(-5, 3))]
+                for h in planes:
+                    for k in range(1, ds.n + 1):
+                        tau = F(k, ds.n)
+                        got = certificate_for(ds, h, tau)
+                        assert got == reference_certificate_for(ds, h, tau)
+
+    def test_regions_and_median_match_reference_route(self, monkeypatch):
+        datasets = [CLUSTER_3D] + _degenerate_3d_sets(2029, 3, 9)
+
+        def run():
+            out = []
+            for ds in datasets:
+                res = median_region(ds)
+                out.append(repr(res))
+                k_star = int(res.lambda_star * ds.n)
+                for k in range(1, min(k_star + 1, ds.n) + 1):
+                    out.append(repr(depth_region(ds, F(k, ds.n))))
+            return out
+
+        got = run()
+        monkeypatch.setattr(regions, "enumerate_irrotatable", reference_enumerate_irrotatable_3d)
+        monkeypatch.setattr(polytope, "_intersect_3d", reference_intersect_3d)
+        assert got == run()
+
+
+class TestDeadlineAndCallScope:
+    def test_expired_deadline_stops_the_plane_table(self):
+        with pytest.raises(TimeoutError):
+            regions._plane_table(CLUSTER_3D, time.monotonic() - 1)
+
+    def test_median_with_expired_deadline_raises(self):
+        ds = dataset(CLUSTER_3D.points)
+        with pytest.raises(TimeoutError):
+            median_region(ds, deadline=time.monotonic() - 1)
+        assert regions._SCOPE not in ds._cache
+
+    def test_plane_table_and_counts_do_not_outlive_the_call(self):
+        ds = dataset(CLUSTER_3D.points)
+        median_region(ds)
+        depth_region(ds, F(1, 4))
+        assert regions._SCOPE not in ds._cache
 
 
 # ---------------------------------------------------------------------------
