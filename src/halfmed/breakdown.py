@@ -70,13 +70,9 @@ class ProjectionFrame:
 
 
 def _primitive(v: Sequence[Fraction]) -> Vec:
-    den = 1
-    for c in v:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in v))
     ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return tuple(Fraction(c) for c in ints)
@@ -238,7 +234,8 @@ def upper_bound(
             lam = projected_lambda(ds, u)
             if best is None or lam < best:
                 best, best_u = lam, u
-        assert best is not None and best_u is not None
+        if best is None or best_u is None:
+            raise RuntimeError("no candidate direction for the planar upper bound")
         return UpperBoundResult(best / (1 + best), best_u, best, True)
 
     if d == 3:
@@ -265,7 +262,8 @@ def upper_bound(
             if lam == floor:
                 return UpperBoundResult(lam / (1 + lam), u, lam, True)
 
-    assert best is not None and best_u is not None
+    if best is None or best_u is None:
+        raise RuntimeError("no candidate direction for the upper bound")
     return UpperBoundResult(best / (1 + best), best_u, best, best == floor)
 
 

@@ -15,16 +15,16 @@ exact angular sweep:
   ``cross(Xi - x, Xj - x)``, and the cells around an edge reduce to a 2-D
   sweep in the edge's orthogonal plane.
 
-All counting is integer arithmetic after clearing denominators.  A numpy
-fast path handles large planar queries when coordinates are small enough for
-proven-exact float angle sorting (verified pairwise with integer cross
-products, with a pure comparator sort as fallback).
+All counting is integer arithmetic on ``DataSet.scaled_ints()``: the query
+is brought onto the same integer scale (``_scaled_query``) and every closed
+halfspace recount goes through ``_split``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,13 +37,8 @@ from .geometry import (
     angular_cmp,
     as_fraction,
     canonical_direction,
+    cross3,
 )
-
-# Coordinates at or below this bound make float64 atan2 ordering provably
-# consistent with the exact angular order (minimum angular gap between
-# distinct reduced integer vectors ~ 2^-47 versus ~2^-50 atan2 error).
-_NP_COORD_LIMIT = 1 << 23
-_NP_MIN_SIZE = 96
 
 
 @dataclass(frozen=True)
@@ -67,26 +62,25 @@ class DepthResult:
 # integer preparation
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _direction_ints(u: Sequence[Fraction]) -> tuple[int, ...]:
-    den = 1
-    for c in u:
-        den = _lcm(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in u))
     return tuple(int(c * den) for c in u)
+
+
+def _scaled_query(ds: DataSet, x: Vec) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """``(f, xi, rows)`` with ``Xi - x`` equal to ``(rows[i] * f - xi) / big``.
+
+    ``big`` is the least common multiple of the dataset scale and the
+    denominators of ``x``; ``f = big / scale`` lifts the dataset rows to it.
+    """
+    scale, rows = ds.scaled_ints()
+    big = math.lcm(scale, *(c.denominator for c in x))
+    return big // scale, tuple(int(c * big) for c in x), rows
 
 
 def _query_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     """Differences ``Xi - x`` as integer tuples sharing one positive scale."""
-    scale, rows = ds.scaled_ints()
-    den = 1
-    for c in x:
-        den = _lcm(den, c.denominator)
-    big = _lcm(scale, den)
-    f = big // scale
-    xi = tuple(int(c * big) for c in x)
+    f, xi, rows = _scaled_query(ds, x)
     c0 = 0
     vecs: list[tuple[int, ...]] = []
     for r in rows:
@@ -98,17 +92,26 @@ def _query_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     return c0, vecs
 
 
-def _np_matrix(ds: DataSet):
-    cached = ds._cache.get("np64")
-    if cached is None:
-        scale, rows = ds.scaled_ints()
-        maxabs = max((max(abs(c) for c in r) for r in rows), default=0)
-        if maxabs < (1 << 62):
-            cached = (np.array(rows, dtype=np.int64), maxabs)
-        else:
-            cached = (None, maxabs)
-        ds._cache["np64"] = cached
-    return cached
+def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
+    """Cut count and boundary indices of ``{r : normal . r >= level}``."""
+    cut = 0
+    boundary = []
+    for i, r in enumerate(rows):
+        s = sum(map(operator.mul, normal, r))
+        if s < level:
+            cut += 1
+        elif s == level:
+            boundary.append(i)
+    return cut, tuple(boundary)
+
+
+def _recount(ds: DataSet, x: Vec, u: Vec) -> tuple[int, int]:
+    """Points with ``u . Xi <= u . x``, and how many of them have equality."""
+    f, xi, rows = _scaled_query(ds, x)
+    ui = _direction_ints(u)
+    # u . Xi <= u . x  iff  (-u f) . r >= -(u . xi) on the integer rows
+    cut, boundary = _split(rows, tuple(-c * f for c in ui), -sum(map(operator.mul, ui, xi)))
+    return len(rows) - cut, len(boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -123,33 +126,6 @@ def _groups_python(vecs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int
         acc[key] = acc.get(key, 0) + 1
     keys = sorted(acc, key=functools.cmp_to_key(angular_cmp))
     return keys, [acc[k] for k in keys]
-
-
-def _groups_numpy(vx, vy) -> tuple[list[tuple[int, int]], list[int]] | None:
-    g = np.gcd(np.abs(vx), np.abs(vy))
-    px = vx // g
-    py = vy // g
-    pairs = np.stack([px, py], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    ux = uniq[:, 0]
-    uy = uniq[:, 1]
-    theta = np.arctan2(uy.astype(np.float64), ux.astype(np.float64))
-    theta = np.where(theta < 0, theta + 2.0 * np.pi, theta)
-    order = np.argsort(theta, kind="stable")
-    ux = ux[order]
-    uy = uy[order]
-    counts = counts[order]
-    if len(ux) > 1:
-        # exact verification of the float ordering: adjacent pairs must be
-        # strictly increasing in angle
-        ax, ay, bx, by = ux[:-1], uy[:-1], ux[1:], uy[1:]
-        ha = ~((ay > 0) | ((ay == 0) & (ax > 0)))
-        hb = ~((by > 0) | ((by == 0) & (bx > 0)))
-        cross = ax * by - ay * bx
-        ok = (ha < hb) | ((ha == hb) & (cross > 0))
-        if not bool(ok.all()):
-            return None
-    return list(zip(ux.tolist(), uy.tolist())), counts.tolist()
 
 
 def _window_in(anchor: tuple[int, int], w: tuple[int, int]) -> bool:
@@ -231,7 +207,7 @@ def _vec_rank3(vecs: list[tuple[int, int, int]]):
     normal = None
     b2 = None
     for v in vecs[1:]:
-        c = _cross3i(b1, v)
+        c = cross3(b1, v)
         if c != (0, 0, 0):
             b2 = v
             normal = c
@@ -242,14 +218,6 @@ def _vec_rank3(vecs: list[tuple[int, int, int]]):
         if _dot3i(normal, v) != 0:
             return 3, (b1, b2, normal)
     return 2, (b1, b2, normal)
-
-
-def _cross3i(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _dot3i(u, v):
@@ -275,7 +243,7 @@ def _depth3_int(c0: int, vecs: list[tuple[int, int, int]]) -> tuple[int, tuple[i
         return (c0 + min(neg, pos), b1 if neg <= pos else tuple(-c for c in b1))
 
     if rank == 2:
-        bb2 = _cross3i(normal, b1)
+        bb2 = cross3(normal, b1)
         mapped = [(_dot3i(b1, v), _dot3i(bb2, v)) for v in vecs]
         groups, mult = _groups_python(mapped)
         count, anchors = _depth2_counts(c0, groups, mult)
@@ -291,7 +259,7 @@ def _depth3_int(c0: int, vecs: list[tuple[int, int, int]]) -> tuple[int, tuple[i
     edges: set[tuple[int, int, int]] = set()
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
-            e = _cross3i(dirs[i], dirs[j])
+            e = cross3(dirs[i], dirs[j])
             if e == (0, 0, 0):
                 continue
             e = _reduce3(e)
@@ -313,7 +281,7 @@ def _depth3_int(c0: int, vecs: list[tuple[int, int, int]]) -> tuple[int, tuple[i
         if best_count is not None and c0 + below >= best_count:
             continue
         bb1 = zidx[0]
-        bb2 = _cross3i(e, bb1)
+        bb2 = cross3(e, bb1)
         mapped = [(_dot3i(bb1, v), _dot3i(bb2, v)) for v in zidx]
         groups, mult = _groups_python(mapped)
         wbest, anchors = _max_window(groups, mult)
@@ -338,7 +306,8 @@ def _depth3_int(c0: int, vecs: list[tuple[int, int, int]]) -> tuple[int, tuple[i
                 u = tuple(half.denominator * ec + half.numerator * wc for ec, wc in zip(e, w3))
             best_count = count
             best_witness = u
-    assert best_count is not None and best_witness is not None
+    if best_count is None or best_witness is None:
+        raise RuntimeError("3-D depth sweep found no arrangement edge for rank-3 data")
     return best_count, best_witness
 
 
@@ -386,43 +355,13 @@ def tukey_depth(x: Sequence[object], ds: DataSet) -> DepthResult:
 
 def _planar_groups(ds: DataSet, xt: Vec):
     """Angularly sorted difference-direction groups for a planar query."""
-    arr, maxabs = _np_matrix(ds)
-    if arr is not None and ds.n >= _NP_MIN_SIZE:
-        scale, _ = ds.scaled_ints()
-        den = 1
-        for c in xt:
-            den = _lcm(den, c.denominator)
-        big = _lcm(scale, den)
-        f = big // scale
-        bound = maxabs * f + max(abs(int(c * big)) for c in xt)
-        if bound <= _NP_COORD_LIMIT:
-            xi = np.array([int(c * big) for c in xt], dtype=np.int64)
-            diff = arr * f - xi
-            nz = (diff[:, 0] != 0) | (diff[:, 1] != 0)
-            c0 = int(len(diff) - nz.sum())
-            vx = diff[nz, 0]
-            vy = diff[nz, 1]
-            if len(vx) == 0:
-                return c0, [], []
-            out = _groups_numpy(vx, vy)
-            if out is not None:
-                groups, mult = out
-                return c0, groups, mult
     c0, vecs = _query_vectors(ds, xt)
     groups, mult = _groups_python(vecs)
     return c0, groups, mult
 
 
 def _verify_witness(ds: DataSet, xt: Vec, witness: Vec, count: int) -> None:
-    u = _direction_ints(witness)
-    scale, rows = ds.scaled_ints()
-    den = 1
-    for c in xt:
-        den = _lcm(den, c.denominator)
-    big = _lcm(scale, den)
-    f = big // scale
-    thr = sum(uc * int(c * big) for uc, c in zip(u, xt))
-    got = sum(1 for r in rows if sum(uc * rc * f for uc, rc in zip(u, r)) <= thr)
+    got, _ = _recount(ds, xt, witness)
     if got != count:
         raise AssertionError(
             f"witness recount mismatch: sweep={count}, witness gives {got}"
@@ -430,7 +369,7 @@ def _verify_witness(ds: DataSet, xt: Vec, witness: Vec, count: int) -> None:
 
 
 def depth_count(x: Sequence[object], ds: DataSet) -> int:
-    """Minimum closed-halfspace count without witness construction (fast path)."""
+    """Minimum closed-halfspace count, without building a witness."""
     xt = tuple(as_fraction(c) for c in x)
     d = ds.dim
     if d == 1:
@@ -517,9 +456,7 @@ def directional_quantile(ds: DataSet, u: Sequence[object], tau: object) -> Fract
     if all(c == 0 for c in ut):
         raise ValueError("direction must be nonzero")
     k = quantile_index(ds.n, tau)
-    uden = 1
-    for c in ut:
-        uden = _lcm(uden, c.denominator)
+    uden = math.lcm(*(c.denominator for c in ut))
     ui = tuple(int(c * uden) for c in ut)
     scale, rows = ds.scaled_ints()
     projs = [sum(uc * rc for uc, rc in zip(ui, r)) for r in rows]
@@ -565,7 +502,8 @@ def median_interval_1d(values: Sequence[Fraction]) -> tuple[Fraction, Fraction, 
                 lo = vals[i]
             hi = vals[i]
         i = j
-    assert lo is not None and hi is not None
+    if lo is None or hi is None:
+        raise RuntimeError("no value attains the maximal 1-D depth")
     return lo, hi, Fraction(best, n)
 
 
@@ -616,38 +554,15 @@ def approximate_depth(
         uf = tuple(as_fraction(snapped) for snapped in np.round(u * (1 << 24)).astype(np.int64).tolist())
         if all(c == 0 for c in uf):
             continue
-        cnt = _count_le(ds, xt, uf)
+        cnt, _ = _recount(ds, xt, uf)
         if best_count is None or cnt < best_count:
             best_count, best_u = cnt, uf
-    assert best_count is not None and best_u is not None
-    boundary = _count_boundary(ds, xt, best_u)
+    if best_count is None or best_u is None:
+        raise RuntimeError("direction net holds no nonzero direction")
+    _, boundary = _recount(ds, xt, best_u)
     return DepthResult(
         Fraction(best_count, n), best_count, n, canonical_direction(best_u), boundary, exact=False
     )
-
-
-def _count_le(ds: DataSet, xt: Vec, u: Vec) -> int:
-    ui = _direction_ints(u)
-    scale, rows = ds.scaled_ints()
-    den = 1
-    for c in xt:
-        den = _lcm(den, c.denominator)
-    big = _lcm(scale, den)
-    f = big // scale
-    thr = sum(uc * int(c * big) for uc, c in zip(ui, xt))
-    return sum(1 for r in rows if sum(uc * rc * f for uc, rc in zip(ui, r)) <= thr)
-
-
-def _count_boundary(ds: DataSet, xt: Vec, u: Vec) -> int:
-    ui = _direction_ints(u)
-    scale, rows = ds.scaled_ints()
-    den = 1
-    for c in xt:
-        den = _lcm(den, c.denominator)
-    big = _lcm(scale, den)
-    f = big // scale
-    thr = sum(uc * int(c * big) for uc, c in zip(ui, xt))
-    return sum(1 for r in rows if sum(uc * rc * f for uc, rc in zip(ui, r)) == thr)
 
 
 def population_depth_estimate(

@@ -229,7 +229,8 @@ def _draw(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarra
         sphere = _sphere_rows(rng, n, spec.dim, 2.0)
         return center + np.where(take_ball[:, None], ball, sphere)
     if spec.variant == "atom":
-        assert spec.base is not None
+        if spec.base is None:
+            raise RuntimeError("atom distribution has no base distribution")
         on_plane = rng.random(n) < spec.m0
         base_rows = _draw(spec.base, n, rng)
         plane_rows = np.empty((n, spec.dim))
@@ -237,7 +238,8 @@ def _draw(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarra
         plane_rows[:, 1:] = center[1:] + _ball_rows(rng, n, spec.dim - 1, 1.0)
         return np.where(on_plane[:, None], plane_rows, base_rows)
     if spec.variant == "discrete":
-        assert spec.points is not None and spec.weights is not None
+        if spec.points is None or spec.weights is None:
+            raise RuntimeError("discrete distribution needs points and weights")
         pts = np.asarray(spec.points, dtype=float)
         w = np.asarray(spec.weights, dtype=float)
         idx = rng.choice(len(pts), size=n, p=w / w.sum())
@@ -266,7 +268,8 @@ def _degenerate_parts(
     spec: DistributionSpec, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base draw plus duplication/flattening masks, in a fixed draw order."""
-    assert spec.base is not None
+    if spec.base is None:
+        raise RuntimeError("degenerate distribution has no base distribution")
     rows = _draw(spec.base, n, rng).copy()
     dup = rng.random(n) < spec.dup_rate
     tri = rng.random(n // 3) < spec.collinear_rate

@@ -587,7 +587,8 @@ def run_attack_demo(
                 for r in rows
             ],
         )
-        assert plan0 is not None
+        if plan0 is None:
+            raise RuntimeError("attack demo ran no contamination scale")
         line_txt = base / f"{cfg.name}_line.txt"
         with open(line_txt, "w", encoding="utf-8") as fh:
             fh.write("# contamination line: anchor + t * direction\n")

@@ -80,14 +80,6 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(s: Fraction, a: Sequence[Fraction]) -> Vec:
-    return tuple(s * x for x in a)
-
-
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
@@ -101,7 +93,8 @@ def cross2(u: Sequence, v: Sequence):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def cross3(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+def cross3(u: Sequence, v: Sequence) -> tuple:
+    """Cross product; integer inputs give integers, Fractions give Fractions."""
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -141,8 +134,27 @@ def angular_cmp(a: Sequence, b: Sequence) -> int:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix."""
-    return _rank([list(r) for r in rows])
+    """Exact rank of a rational matrix (Gaussian elimination)."""
+    rows = [list(r) for r in rows if any(c != 0 for c in r)]
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    rank = 0
+    col = 0
+    while col < cols and rank < len(rows):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                f = rows[i][col] / pr[col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        rank += 1
+        col += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +247,7 @@ class DataSet:
         """
         cached = self._cache.get("ints")
         if cached is None:
-            scale = 1
-            for p in self.points:
-                for c in p:
-                    scale = scale * c.denominator // math.gcd(scale, c.denominator)
+            scale = math.lcm(*(c.denominator for p in self.points for c in p))
             rows = [tuple(int(c * scale) for c in p) for p in self.points]
             cached = (scale, rows)
             self._cache["ints"] = cached
@@ -276,31 +285,7 @@ def affine_dimension(ds: DataSet | Sequence[Sequence[Fraction]]) -> int:
     if not pts:
         raise ValueError("affine dimension of an empty set is undefined")
     base = pts[0]
-    rows = [list(vsub(p, base)) for p in pts[1:]]
-    return _rank(rows)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [r[:] for r in rows if any(c != 0 for c in r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < cols and rank < len(rows):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
+    return matrix_rank([vsub(p, base) for p in pts[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +476,8 @@ def _hull_halfspaces_3d(ds: DataSet) -> list[Halfspace]:
                 b2 = v
                 nrm = c
                 break
-        assert b2 is not None and nrm is not None
+        if b2 is None:
+            raise RuntimeError("planar 3-D data has no second independent direction")
         coords2 = [(dot(b1, vsub(p, base)), dot(b2, vsub(p, base))) for p in pts]
         out = [
             Halfspace(nrm, dot(nrm, base)),

@@ -124,9 +124,7 @@ def _intersect_1d(hs: list[Halfspace]) -> Polytope:
 def _int_halfspaces(hs: list[Halfspace]) -> list[tuple[tuple[int, ...], int]]:
     out = []
     for h in hs:
-        scale = 1
-        for c in (*h.normal, h.offset):
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in (*h.normal, h.offset)))
         normal = tuple(int(c * scale) for c in h.normal)
         out.append((normal, int(h.offset * scale)))
     return out

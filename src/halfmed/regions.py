@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +38,7 @@ from typing import Sequence
 
 from .depth import (
     _direction_ints,
+    _split,
     depth_count,
     directional_quantile,
     median_interval_1d,
@@ -54,6 +54,7 @@ from .geometry import (
     cross3,
     dataset,
     halfspace,
+    matrix_rank,
     vsub,
 )
 from .polytope import (
@@ -110,19 +111,6 @@ class MedianResult:
 # All counting runs on the dataset's integer rows (``DataSet.scaled_ints``):
 # a halfspace ``N . x >= c`` with integer N and c holds the point of row r
 # iff ``N . r >= c * scale``.
-
-
-def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
-    """Cut count and boundary indices of ``{r : normal . r >= level}``."""
-    cut = 0
-    boundary = []
-    for i, r in enumerate(rows):
-        s = sum(map(operator.mul, normal, r))
-        if s < level:
-            cut += 1
-        elif s == level:
-            boundary.append(i)
-    return cut, tuple(boundary)
 
 
 def _sweep_records(
@@ -488,33 +476,9 @@ def _affine_frame(ds: DataSet):
     for p in pts[1:]:
         cand = tuple(pc - bc for pc, bc in zip(p, base))
         trial = basis + [cand]
-        if _rank_of(trial) == len(trial):
+        if matrix_rank(trial) == len(trial):
             basis.append(cand)
     return base, basis
-
-
-def _rank_of(vecs: list[Vec]) -> int:
-    rows = [list(v) for v in vecs]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c] / pv
-            if f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 def _solve_gram(basis: list[Vec], rhs: list[Fraction]) -> list[Fraction]:

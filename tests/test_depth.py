@@ -16,6 +16,7 @@ from halfmed.depth import (
     tukey_depth,
     witness_cut,
 )
+from halfmed.distributions import sample, uniform_ball
 from halfmed.geometry import dataset, point
 
 from oracles import oracle_depth_count, random_dataset, random_probe
@@ -245,6 +246,13 @@ class TestOneDimensionalSummaries:
             assert tukey_depth((hi + eps,), ds).value < lam
 
 
+def _fraction_recount(ds, x, u):
+    """(points with u . Xi <= u . x, points with u . Xi == u . x), in Fractions."""
+    level = sum(uc * xc for uc, xc in zip(u, x))
+    proj = [sum(uc * pc for uc, pc in zip(u, p)) for p in ds.points]
+    return sum(1 for s in proj if s <= level), sum(1 for s in proj if s == level)
+
+
 class TestApproximateDepth:
     def test_upper_bounds_exact(self):
         rng = random.Random(505)
@@ -254,6 +262,7 @@ class TestApproximateDepth:
             approx = approximate_depth(x, ds, n_directions=64, seed=1)
             assert approx.value >= tukey_depth(x, ds).value
             assert approx.exact is False
+            assert (approx.count, approx.boundary_count) == _fraction_recount(ds, x, approx.witness)
 
     def test_higher_dimensions_run(self):
         ds = dataset(
@@ -264,25 +273,29 @@ class TestApproximateDepth:
                 (0, 0, 0, 1), (0, 0, 0, -1),
             ]
         )
-        r = approximate_depth((0, 0, 0, 0), ds, n_directions=128, seed=3)
+        x = (0, 0, 0, 0)
+        r = approximate_depth(x, ds, n_directions=128, seed=3)
         assert 0 < r.value <= F(1, 2)
         assert r.exact is False
+        assert (r.count, r.boundary_count) == _fraction_recount(ds, x, r.witness)
 
 
-class TestLargeSampleFastPath:
-    def test_numpy_and_python_paths_agree(self):
+class TestLargeSampleDepth:
+    """Planar depth on the sizes and coordinate ranges of sampled data."""
+
+    def test_dyadic_data_with_duplicates_matches_oracle(self):
         rng = random.Random(808)
         pts = [
             (F(rng.randint(-2**20, 2**20), 2**20), F(rng.randint(-2**20, 2**20), 2**20))
             for _ in range(200)
         ]
         pts += pts[:10]  # duplicates
-        ds_big = dataset(pts)
-        probes = [pts[0], (F(0), F(0)), (F(1, 3), F(-1, 7))]
-        for x in probes:
-            got = tukey_depth(x, ds_big)
-            # python path on the same data, forced by a fresh tiny-threshold set
-            small = dataset(pts)
-            small._cache["np64"] = (None, 0)  # force the big-int path
-            alt = tukey_depth(x, small)
-            assert got.count == alt.count
+        ds = dataset(pts)
+        for x in (pts[0], (F(0), F(0)), (F(1, 3), F(-1, 7))):
+            assert tukey_depth(x, ds).count == oracle_depth_count(x, ds)
+
+    def test_21_bit_ball_sample_at_data_points_matches_oracle(self):
+        ds = sample(uniform_ball(2), n=120, bits=21)
+        for i in (0, 17, 59, 101):
+            x = ds.points[i]
+            assert tukey_depth(x, ds).count == oracle_depth_count(x, ds)
