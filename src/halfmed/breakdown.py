@@ -42,6 +42,7 @@ from .geometry import (
     dataset,
     dot,
     hull_halfspaces,
+    primitive,
     vsub,
 )
 from .polytope import Polytope, barycenter, intersect_halfspaces
@@ -71,11 +72,7 @@ class ProjectionFrame:
 
 def _primitive(v: Sequence[Fraction]) -> Vec:
     den = math.lcm(*(c.denominator for c in v))
-    ints = [int(c * den) for c in v]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    return tuple(Fraction(c) for c in primitive([int(c * den) for c in v]))
 
 
 def projection_frame(u: Sequence, d: int | None = None) -> ProjectionFrame:

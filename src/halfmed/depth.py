@@ -12,8 +12,12 @@ exact angular sweep:
   multiplicity, never perturbed.
 * d = 3: the candidate normals live on the arrangement of planes
   ``{u : u . (Xi - x) = 0}``; every minimizing cell touches an edge
-  ``cross(Xi - x, Xj - x)``, and the cells around an edge reduce to a 2-D
-  sweep in the edge's orthogonal plane.
+  ``cross(Xi - x, Xj - x)``.  One exact circle sweep per distinct direction
+  ``Xi - x`` (an angular sort of the data seen along it) counts the points
+  strictly below every edge through that direction, O(n^2 log n) in all.
+  Only edges whose count can still beat the best one get an O(n) pass and
+  the 2-D sweep of the cells around them, in the edge's orthogonal plane;
+  in edge order that is a running minimum, a handful of edges per query.
 
 All counting is integer arithmetic on ``DataSet.scaled_ints()``: the query
 is brought onto the same integer scale (``_scaled_query``) and every closed
@@ -27,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .geometry import (
     as_fraction,
     canonical_direction,
     cross3,
+    primitive,
 )
 
 
@@ -121,6 +126,7 @@ def _recount(ds: DataSet, x: Vec, u: Vec) -> tuple[int, int]:
 def _groups_python(vecs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
     acc: dict[tuple[int, int], int] = {}
     for a, b in vecs:
+        # geometry.primitive inlined: a call per vector slows every 2-D query
         g = math.gcd(abs(a), abs(b))
         key = (a // g, b // g)
         acc[key] = acc.get(key, 0) + 1
@@ -224,91 +230,174 @@ def _dot3i(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _reduce3(v):
-    g = math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    return (v[0] // g, v[1] // g, v[2] // g)
+def _pseudo_angle(v: tuple[int, int]) -> float:
+    """Float in [0, 4) increasing with the angle of ``v`` in [0, 2pi), up to rounding."""
+    a, b = v
+    t = a / (abs(a) + abs(b))
+    return 1 - t if b > 0 or (b == 0 and a > 0) else 3 + t
 
 
-def _depth3_int(c0: int, vecs: list[tuple[int, int, int]]) -> tuple[int, tuple[int, int, int]]:
-    """Minimum closed-halfspace count and an exact witness direction (d=3)."""
+def _circle_sides(d, dirs, weights) -> list:
+    """``(right, left)`` weights on either side of each direction, seen along ``d``.
+
+    With ``e = cross3(d, dirs[k])``, ``right`` is the weight of the directions
+    with ``e . v < 0`` and ``left`` that of those with ``e . v > 0``.  In the
+    integer basis ``(p, d x p)`` of ``d``-perp, ``sign(e . v)`` is the sign of
+    the planar cross product of the projections of ``dirs[k]`` and ``v``, so
+    one angular sort and one two-pointer pass give every ``k`` at once.
+    Entries for ``dirs[k]`` parallel to ``d`` are None.
+    """
+    x, y, z = d
+    p0, p1 = (-y, x) if x or y else (0, 1)  # p = (p0, p1, 0) with p . d = 0
+    q0, q1, q2 = -z * p1, z * p0, x * p1 - y * p0  # q = d x p, |q| = |d| |p|
+    # stretching p by about |d| keeps every sign and evens out the two axes
+    stretch = math.isqrt(x * x + y * y + z * z)
+    p0, p1 = stretch * p0, stretch * p1
+    acc: dict[tuple[int, int], int] = {}
+    keys: list = []
+    for (v0, v1, v2), w in zip(dirs, weights):
+        a = p0 * v0 + p1 * v1
+        b = q0 * v0 + q1 * v1 + q2 * v2
+        if a == 0 and b == 0:
+            keys.append(None)
+            continue
+        g = math.gcd(a, b)  # primitive key, inlined as in _groups_python
+        key = (a // g, b // g)
+        keys.append(key)
+        acc[key] = acc.get(key, 0) + w
+    # the float pre-sort leaves the exact sort one already-sorted run to check
+    groups = sorted(acc, key=_pseudo_angle)
+    groups.sort(key=functools.cmp_to_key(angular_cmp))
+    mult = [acc[k] for k in groups]
+    total = sum(mult)
+    m = len(groups)
+    ring, wring = groups + groups, mult + mult
+    sides = {}
+    r = 0
+    cnt = 0
+    for j in range(m):
+        # cnt is the weight of ring[j + 1 : r], strictly counter-clockwise
+        # of ring[j] and less than a half-turn away
+        if r <= j:
+            r = j + 1
+            cnt = 0
+        ax, ay = ring[j]
+        c = 1
+        while r < j + m:
+            bx, by = ring[r]
+            c = ax * by - ay * bx
+            if c <= 0:
+                break
+            cnt += wring[r]
+            r += 1
+        anti = wring[r] if c == 0 else 0
+        sides[ring[j]] = (total - cnt - wring[j] - anti, cnt)
+        if r > j + 1:
+            cnt -= wring[j + 1]
+    return [None if k is None else sides[k] for k in keys]
+
+
+def _depth3_int(
+    c0: int, vecs: list[tuple[int, int, int]]
+) -> tuple[int, Callable[[], tuple[int, ...]]]:
+    """Minimum closed-halfspace count (d=3) and a thunk for its exact witness.
+
+    Only the count is computed eagerly; calling the returned function builds
+    the witness direction.
+    """
     n_nz = len(vecs)
     if n_nz == 0:
-        return c0, (1, 0, 0)
+        return c0, lambda: (1, 0, 0)
     rank, (b1, b2, normal) = _vec_rank3(vecs)
 
     if rank == 1:
         pos = sum(1 for v in vecs if _dot3i(b1, v) > 0)
         neg = n_nz - pos
         # u = +-b1 puts the smaller side at or below the boundary
-        return (c0 + min(neg, pos), b1 if neg <= pos else tuple(-c for c in b1))
+        u = b1 if neg <= pos else tuple(-c for c in b1)
+        return c0 + min(neg, pos), lambda: u
 
     if rank == 2:
         bb2 = cross3(normal, b1)
         mapped = [(_dot3i(b1, v), _dot3i(bb2, v)) for v in vecs]
         groups, mult = _groups_python(mapped)
         count, anchors = _depth2_counts(c0, groups, mult)
-        s, t = _cell_witness_2d(groups[anchors[0]], groups)
-        u = tuple(s * a + t * b for a, b in zip(b1, bb2))
-        return count, u
 
-    # rank 3: sweep the cells around every arrangement edge
-    reduced = {}
+        def planar_witness():
+            s, t = _cell_witness_2d(groups[anchors[0]], groups)
+            return tuple(s * a + t * b for a, b in zip(b1, bb2))
+
+        return count, planar_witness
+
+    # rank 3: every minimizing cell touches an arrangement edge e; the points
+    # strictly below e come from one circle sweep per data direction, and
+    # only edges that can still beat the best count get the 2-D sub-sweep
+    weight: dict[tuple[int, ...], int] = {}
     for v in vecs:
-        reduced.setdefault(_reduce3(v), True)
-    dirs = list(reduced)
-    edges: set[tuple[int, int, int]] = set()
+        key = primitive(v)
+        weight[key] = weight.get(key, 0) + 1
+    dirs = list(weight)
+    weights = list(weight.values())
+    edges: set[tuple[int, ...]] = set()
+    below: dict[tuple[int, ...], int] = {}
     for i in range(len(dirs)):
+        di = dirs[i]
+        sides = None
         for j in range(i + 1, len(dirs)):
-            e = cross3(dirs[i], dirs[j])
+            e = cross3(di, dirs[j])
             if e == (0, 0, 0):
                 continue
-            e = _reduce3(e)
+            e = primitive(e)
             if e not in edges:
+                neg = (-e[0], -e[1], -e[2])
                 edges.add(e)
-                edges.add(tuple(-c for c in e))
+                edges.add(neg)
+                if sides is None:
+                    sides = _circle_sides(di, dirs, weights)
+                below[e], below[neg] = sides[j]
 
+    # the witness comes from the first edge, in set order, that reaches the
+    # minimum, exactly as if it were rebuilt at every improvement
     best_count: int | None = None
-    best_witness = None
+    best_cell = None
     for e in edges:
-        below = 0
-        zidx = []
-        for v in vecs:
-            s = _dot3i(e, v)
-            if s < 0:
-                below += 1
-            elif s == 0:
-                zidx.append(v)
-        if best_count is not None and c0 + below >= best_count:
+        b = below[e]
+        if best_count is not None and c0 + b >= best_count:
             continue
-        bb1 = zidx[0]
+        e0, e1, e2 = e
+        ortho = [v for v in vecs if e0 * v[0] + e1 * v[1] + e2 * v[2] == 0]
+        bb1 = ortho[0]
         bb2 = cross3(e, bb1)
-        mapped = [(_dot3i(bb1, v), _dot3i(bb2, v)) for v in zidx]
+        mapped = [(_dot3i(bb1, v), _dot3i(bb2, v)) for v in ortho]
         groups, mult = _groups_python(mapped)
         wbest, anchors = _max_window(groups, mult)
-        count = c0 + below + (len(zidx) - wbest)
+        count = c0 + b + (len(ortho) - wbest)
         if best_count is None or count < best_count:
-            s, t = _cell_witness_2d(groups[anchors[0]], groups)
-            w3 = tuple(s * a + t * b for a, b in zip(bb1, bb2))
-            delta: Fraction | None = None
-            for v in vecs:
-                se = _dot3i(e, v)
-                if se == 0:
-                    continue
-                sw = _dot3i(w3, v)
-                if sw != 0:
-                    cand = Fraction(abs(se), abs(sw))
-                    if delta is None or cand < delta:
-                        delta = cand
-            if delta is None:
-                u = tuple(q_e + w for q_e, w in zip(e, w3))
-            else:
-                half = delta / 2
-                u = tuple(half.denominator * ec + half.numerator * wc for ec, wc in zip(e, w3))
             best_count = count
-            best_witness = u
-    if best_count is None or best_witness is None:
+            best_cell = (e, bb1, bb2, groups, anchors)
+    if best_count is None or best_cell is None:
         raise RuntimeError("3-D depth sweep found no arrangement edge for rank-3 data")
-    return best_count, best_witness
+    return best_count, lambda: _edge_witness(vecs, *best_cell)
+
+
+def _edge_witness(vecs, e, bb1, bb2, groups, anchors) -> tuple[int, ...]:
+    """Exact direction inside the best cell next to the arrangement edge ``e``."""
+    s, t = _cell_witness_2d(groups[anchors[0]], groups)
+    w3 = tuple(s * a + t * b for a, b in zip(bb1, bb2))
+    delta: Fraction | None = None
+    for v in vecs:
+        se = _dot3i(e, v)
+        if se == 0:
+            continue
+        sw = _dot3i(w3, v)
+        if sw != 0:
+            cand = Fraction(abs(se), abs(sw))
+            if delta is None or cand < delta:
+                delta = cand
+    if delta is None:
+        return tuple(q_e + w for q_e, w in zip(e, w3))
+    half = delta / 2
+    return tuple(half.denominator * ec + half.numerator * wc for ec, wc in zip(e, w3))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +436,8 @@ def tukey_depth(x: Sequence[object], ds: DataSet) -> DepthResult:
         return DepthResult(Fraction(count, n), count, n, witness, c0)
 
     c0, vecs = _query_vectors(ds, xt)
-    count, u = _depth3_int(c0, vecs)
-    witness = canonical_direction(tuple(Fraction(c) for c in u))
+    count, lift = _depth3_int(c0, vecs)
+    witness = canonical_direction(tuple(Fraction(c) for c in lift()))
     _verify_witness(ds, xt, witness, count)
     return DepthResult(Fraction(count, n), count, n, witness, c0)
 
@@ -363,7 +452,7 @@ def _planar_groups(ds: DataSet, xt: Vec):
 def _verify_witness(ds: DataSet, xt: Vec, witness: Vec, count: int) -> None:
     got, _ = _recount(ds, xt, witness)
     if got != count:
-        raise AssertionError(
+        raise RuntimeError(
             f"witness recount mismatch: sweep={count}, witness gives {got}"
         )
 
@@ -400,8 +489,8 @@ def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
         u = _cell_witness_2d(groups[anchors[0]], groups)
         return count, (Fraction(u[0]), Fraction(u[1]))
     c0, vecs = _query_vectors(ds, xt)
-    count, u = _depth3_int(c0, vecs)
-    return count, tuple(Fraction(c) for c in u)
+    count, lift = _depth3_int(c0, vecs)
+    return count, tuple(Fraction(c) for c in lift())
 
 
 def optimal_direction_cone(x: Sequence[object], ds: DataSet) -> list[Vec]:

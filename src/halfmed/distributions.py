@@ -261,7 +261,7 @@ def _draw(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarra
                 t = float((b - a) @ span) / denom
                 rows[3 * j + 1] = a + t * span
         return rows
-    raise AssertionError(spec.variant)
+    raise ValueError(f"unknown distribution variant {spec.variant!r}")
 
 
 def _degenerate_parts(

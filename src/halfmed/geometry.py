@@ -102,6 +102,14 @@ def cross3(u: Sequence, v: Sequence) -> tuple:
     )
 
 
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """Integer vector divided by the gcd of its entries (the zero vector stays)."""
+    g = math.gcd(*v)
+    if g > 1:
+        return tuple([c // g for c in v])
+    return tuple(v)
+
+
 def canonical_direction(u: Sequence[Fraction]) -> Vec:
     """Scale a nonzero direction by the reciprocal of |first nonzero entry|.
 
@@ -517,11 +525,11 @@ def _hull_halfspaces_3d(ds: DataSet) -> list[Halfspace]:
                     continue
                 if lo:  # flip so every point satisfies n.x >= c
                     nx, ny, nz, c = -nx, -ny, -nz, -c
-                g = math.gcd(math.gcd(abs(nx), abs(ny)), abs(nz))
-                key = (nx // g, ny // g, nz // g)
+                key = primitive((nx, ny, nz))
                 if key not in facets:
                     normal = tuple(Fraction(v) for v in key)
-                    facets[key] = Halfspace(normal, Fraction(c, g * scale))
+                    off = key[0] * uniq[i][0] + key[1] * uniq[i][1] + key[2] * uniq[i][2]
+                    facets[key] = Halfspace(normal, Fraction(off, scale))
     return list(facets.values())
 
 

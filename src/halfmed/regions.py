@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +54,7 @@ from .geometry import (
     dataset,
     halfspace,
     matrix_rank,
+    primitive,
     vsub,
 )
 from .polytope import (
@@ -234,8 +234,7 @@ def _plane_table(ds: DataSet, deadline: float | None):
         u = cross3(vsub(b, a), vsub(c, a))
         if u == (0, 0, 0):
             continue
-        g = math.gcd(*u)
-        p = (u[0] // g, u[1] // g, u[2] // g)
+        p = primitive(u)
         off = p[0] * a[0] + p[1] * a[1] + p[2] * a[2]
         if (p, off) in seen:
             continue
@@ -245,7 +244,8 @@ def _plane_table(ds: DataSet, deadline: float | None):
             raise TimeoutError("region construction exceeded its deadline")
         cut, boundary = _split(rows, p, off)
         records = _sweep_records(rows, p, boundary)
-        h = Halfspace(tuple(Fraction(x, s2) for x in u), Fraction(g * off, s3))
+        uoff = u[0] * a[0] + u[1] * a[1] + u[2] * a[2]
+        h = Halfspace(tuple(Fraction(x, s2) for x in u), Fraction(uoff, s3))
         flipped = Halfspace(tuple(-x for x in h.normal), -h.offset)
         table.append((h, cut, boundary, records))
         table.append((flipped, n - cut - len(boundary), boundary, records))

@@ -377,3 +377,107 @@ def reference_intersect_3d(hs):
     if adim == 2:
         verts = _order_planar_cycle(verts)
     return Polytope(base, tuple(verts), 3, adim, empty=False, unbounded=False)
+
+
+# ---------------------------------------------------------------------------
+# reference 3-D depth kernel: the O(n^3) edge sweep, n dot products per edge
+
+
+def _reference_reduce3(v):
+    g = math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+    return (v[0] // g, v[1] // g, v[2] // g)
+
+
+def _reference_dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def reference_depth3_int(c0, vecs):
+    """``(count, witness)`` of the 3-D kernel as one full pass per edge.
+
+    Every arrangement edge recounts the points below it with one dot product
+    per point; the witness is rebuilt at every strict improvement.  The 2-D
+    helpers are the package's own.
+    """
+    from halfmed.depth import (
+        _cell_witness_2d,
+        _depth2_counts,
+        _groups_python,
+        _max_window,
+        _vec_rank3,
+    )
+
+    n_nz = len(vecs)
+    if n_nz == 0:
+        return c0, (1, 0, 0)
+    rank, (b1, b2, normal) = _vec_rank3(vecs)
+
+    if rank == 1:
+        pos = sum(1 for v in vecs if _reference_dot3(b1, v) > 0)
+        neg = n_nz - pos
+        return (c0 + min(neg, pos), b1 if neg <= pos else tuple(-c for c in b1))
+
+    if rank == 2:
+        bb2 = _reference_cross3(normal, b1)
+        mapped = [(_reference_dot3(b1, v), _reference_dot3(bb2, v)) for v in vecs]
+        groups, mult = _groups_python(mapped)
+        count, anchors = _depth2_counts(c0, groups, mult)
+        s, t = _cell_witness_2d(groups[anchors[0]], groups)
+        u = tuple(s * a + t * b for a, b in zip(b1, bb2))
+        return count, u
+
+    reduced = {}
+    for v in vecs:
+        reduced.setdefault(_reference_reduce3(v), True)
+    dirs = list(reduced)
+    edges = set()
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            e = _reference_cross3(dirs[i], dirs[j])
+            if e == (0, 0, 0):
+                continue
+            e = _reference_reduce3(e)
+            if e not in edges:
+                edges.add(e)
+                edges.add(tuple(-c for c in e))
+
+    best_count = None
+    best_witness = None
+    for e in edges:
+        below = 0
+        zidx = []
+        for v in vecs:
+            s = _reference_dot3(e, v)
+            if s < 0:
+                below += 1
+            elif s == 0:
+                zidx.append(v)
+        if best_count is not None and c0 + below >= best_count:
+            continue
+        bb1 = zidx[0]
+        bb2 = _reference_cross3(e, bb1)
+        mapped = [(_reference_dot3(bb1, v), _reference_dot3(bb2, v)) for v in zidx]
+        groups, mult = _groups_python(mapped)
+        wbest, anchors = _max_window(groups, mult)
+        count = c0 + below + (len(zidx) - wbest)
+        if best_count is None or count < best_count:
+            s, t = _cell_witness_2d(groups[anchors[0]], groups)
+            w3 = tuple(s * a + t * b for a, b in zip(bb1, bb2))
+            delta = None
+            for v in vecs:
+                se = _reference_dot3(e, v)
+                if se == 0:
+                    continue
+                sw = _reference_dot3(w3, v)
+                if sw != 0:
+                    cand = Fraction(abs(se), abs(sw))
+                    if delta is None or cand < delta:
+                        delta = cand
+            if delta is None:
+                u = tuple(q_e + w for q_e, w in zip(e, w3))
+            else:
+                half = delta / 2
+                u = tuple(half.denominator * ec + half.numerator * wc for ec, wc in zip(e, w3))
+            best_count = count
+            best_witness = u
+    return best_count, best_witness

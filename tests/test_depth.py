@@ -16,10 +16,16 @@ from halfmed.depth import (
     tukey_depth,
     witness_cut,
 )
-from halfmed.distributions import sample, uniform_ball
-from halfmed.geometry import dataset, point
+from halfmed.depth import _circle_sides, _depth3_int, _query_vectors
+from halfmed.distributions import degenerate_sampler, sample, uniform_ball
+from halfmed.geometry import cross3, dataset, point, primitive
 
-from oracles import oracle_depth_count, random_dataset, random_probe
+from oracles import (
+    oracle_depth_count,
+    random_dataset,
+    random_probe,
+    reference_depth3_int,
+)
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
 DS_B = dataset([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -299,3 +305,88 @@ class TestLargeSampleDepth:
         for i in (0, 17, 59, 101):
             x = ds.points[i]
             assert tukey_depth(x, ds).count == oracle_depth_count(x, ds)
+
+
+def _spatial_cases():
+    """3-D (dataset, query) pairs covering the kernel's degenerate inputs."""
+    rng = random.Random(4711)
+    cases = []
+    # duplicates and collinear triples; probes at data points, at averages
+    # of two points and off the data
+    for _ in range(60):
+        ds = random_dataset(rng, 3, max_n=11, dup_prob=0.3, collinear_prob=0.3)
+        cases += [(ds, random_probe(rng, ds)) for _ in range(3)]
+    # six or more coplanar points plus a few off the plane
+    for _ in range(10):
+        pts = [(F(rng.randint(-6, 6)), F(rng.randint(-6, 6)), F(1)) for _ in range(7)]
+        pts += [tuple(F(rng.randint(-6, 6)) for _ in range(3)) for _ in range(3)]
+        ds = dataset(pts)
+        cases += [(ds, pts[0]), (ds, (F(0), F(1, 3), F(1))), (ds, (F(1, 2), F(0), F(0)))]
+    # antipodal pairs: the query is the midpoint of several segments
+    for _ in range(10):
+        x = tuple(F(rng.randint(-4, 4), 2) for _ in range(3))
+        pts = []
+        for _ in range(rng.randint(2, 5)):
+            a = tuple(F(rng.randint(-6, 6)) for _ in range(3))
+            pts += [a, tuple(2 * xc - ac for xc, ac in zip(x, a))]
+        pts += [tuple(F(rng.randint(-6, 6)) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+        cases.append((dataset(pts), x))
+    # difference vectors of rank 1 (a line through the query) and rank 2
+    # (a plane through the query)
+    for _ in range(10):
+        x = tuple(F(rng.randint(-3, 3)) for _ in range(3))
+        u = tuple(F(rng.randint(-3, 3)) for _ in range(3))
+        w = (u[1] + 1, -u[0], F(2))
+        line = [tuple(xc + F(t) * uc for xc, uc in zip(x, u)) for t in (-2, -1, 1, 1, 3, 0)]
+        plane = [
+            tuple(xc + F(s) * uc + F(t) * wc for xc, uc, wc in zip(x, u, w))
+            for s, t in ((1, 0), (-1, 2), (0, -1), (2, 2), (-1, -1), (1, 0))
+        ]
+        cases += [(dataset(line), x), (dataset(plane), x)]
+    # nearly parallel directions: their float angles tie or cross
+    big = 2**80
+    pts = [(F(big + k), F(1), F(j)) for k in range(3) for j in range(2)]
+    pts += [(F(-big), F(k), F(1)) for k in range(3)] + [(F(1), F(-2), F(-3))]
+    ds = dataset(pts)
+    cases += [(ds, (F(0), F(0), F(0))), (ds, pts[0])]
+    # sampled 53-bit data, general and with duplicates and collinear triples
+    for seed, spec in ((1, uniform_ball(3)), (2, degenerate_sampler(uniform_ball(3), 0.2, 0.4))):
+        ds = sample(spec, 24, seed, bits=53)
+        cases += [(ds, ds.points[3]), (ds, (F(1, 7), F(-2, 9), F(1, 11)))]
+    return cases
+
+
+class TestSpatialKernelMatchesEdgeReference:
+    """The circle-sweep kernel against the per-edge sweep it replaced."""
+
+    def test_count_and_witness_match_reference(self):
+        for ds, x in _spatial_cases():
+            c0, vecs = _query_vectors(ds, x)
+            count, lift = _depth3_int(c0, vecs)
+            assert (count, lift()) == reference_depth3_int(c0, vecs)
+
+    def test_depth_count_matches_full_result(self):
+        for ds, x in _spatial_cases():
+            assert depth_count(x, ds) == tukey_depth(x, ds).count
+
+    def test_counts_match_brute_force_oracle(self):
+        for ds, x in _spatial_cases():
+            if ds.n <= 10:
+                assert depth_count(x, ds) == oracle_depth_count(x, ds)
+
+    def test_circle_sides_match_direct_counts(self):
+        for ds, x in _spatial_cases():
+            _, vecs = _query_vectors(ds, x)
+            weight = {}
+            for v in vecs:
+                weight[primitive(v)] = weight.get(primitive(v), 0) + 1
+            dirs = list(weight)
+            for d in dirs:
+                sides = _circle_sides(d, dirs, list(weight.values()))
+                for k, side in zip(dirs, sides):
+                    e = cross3(d, k)
+                    if e == (0, 0, 0):
+                        assert side is None
+                        continue
+                    dots = [sum(a * b for a, b in zip(e, v)) for v in vecs]
+                    assert side == (sum(t < 0 for t in dots), sum(t > 0 for t in dots))

@@ -8,12 +8,24 @@ import halfmed
 SRC = pathlib.Path(halfmed.__file__).parent
 
 
+def _nodes():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path, node
+
+
 def test_no_assert_statements_in_package():
     # invariants must raise real exceptions: ``assert`` vanishes under ``python -O``
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
+    found = [f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_raise_assertion_error_in_package():
+    # a broken invariant is a RuntimeError or ValueError, not a test failure
+    found = []
+    for path, node in _nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
