@@ -230,9 +230,9 @@ def _dot3i(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _pseudo_angle(v: tuple[int, int]) -> float:
-    """Float in [0, 4) increasing with the angle of ``v`` in [0, 2pi), up to rounding."""
-    a, b = v
+def _pseudo_angle(v: Sequence[int]) -> float:
+    """Float in [0, 4) that grows with the angle of ``(v[0], v[1])``, up to rounding."""
+    a, b = v[0], v[1]
     t = a / (abs(a) + abs(b))
     return 1 - t if b > 0 or (b == 0 and a > 0) else 3 + t
 
@@ -253,26 +253,33 @@ def _circle_sides(d, dirs, weights) -> list:
     # stretching p by about |d| keeps every sign and evens out the two axes
     stretch = math.isqrt(x * x + y * y + z * z)
     p0, p1 = stretch * p0, stretch * p1
-    acc: dict[tuple[int, int], int] = {}
-    keys: list = []
-    for (v0, v1, v2), w in zip(dirs, weights):
+    items = []
+    for k, ((v0, v1, v2), w) in enumerate(zip(dirs, weights)):
         a = p0 * v0 + p1 * v1
         b = q0 * v0 + q1 * v1 + q2 * v2
-        if a == 0 and b == 0:
-            keys.append(None)
-            continue
-        g = math.gcd(a, b)  # primitive key, inlined as in _groups_python
-        key = (a // g, b // g)
-        keys.append(key)
-        acc[key] = acc.get(key, 0) + w
+        if a or b:
+            items.append((a, b, w, k))
     # the float pre-sort leaves the exact sort one already-sorted run to check
-    groups = sorted(acc, key=_pseudo_angle)
-    groups.sort(key=functools.cmp_to_key(angular_cmp))
-    mult = [acc[k] for k in groups]
+    items.sort(key=_pseudo_angle)
+    items.sort(key=functools.cmp_to_key(angular_cmp))
+    # directions on one ray are adjacent now; merge them into one group
+    groups: list[tuple[int, int]] = []
+    mult: list[int] = []
+    members: list[list[int]] = []
+    ga = gb = 0
+    for a, b, w, k in items:
+        if ga * b == gb * a and ga * a + gb * b > 0:
+            mult[-1] += w
+            members[-1].append(k)
+        else:
+            ga, gb = a, b
+            groups.append((a, b))
+            mult.append(w)
+            members.append([k])
     total = sum(mult)
     m = len(groups)
     ring, wring = groups + groups, mult + mult
-    sides = {}
+    sides: list = [None] * len(dirs)
     r = 0
     cnt = 0
     for j in range(m):
@@ -291,10 +298,12 @@ def _circle_sides(d, dirs, weights) -> list:
             cnt += wring[r]
             r += 1
         anti = wring[r] if c == 0 else 0
-        sides[ring[j]] = (total - cnt - wring[j] - anti, cnt)
+        side = (total - cnt - wring[j] - anti, cnt)
+        for k in members[j]:
+            sides[k] = side
         if r > j + 1:
             cnt -= wring[j + 1]
-    return [None if k is None else sides[k] for k in keys]
+    return sides
 
 
 def _depth3_int(
