@@ -1,11 +1,15 @@
 """Exact depth kernels against frozen values and the brute-force oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from halfmed.depth import (
+    _circle_sides,
+    _depth3_int,
+    _query_vectors,
     approximate_depth,
     depth_count,
     directional_quantile,
@@ -16,7 +20,6 @@ from halfmed.depth import (
     tukey_depth,
     witness_cut,
 )
-from halfmed.depth import _circle_sides, _depth3_int, _query_vectors
 from halfmed.distributions import degenerate_sampler, sample, uniform_ball
 from halfmed.geometry import cross3, dataset, point, primitive
 
@@ -377,9 +380,7 @@ class TestSpatialKernelMatchesEdgeReference:
     def test_circle_sides_match_direct_counts(self):
         for ds, x in _spatial_cases():
             _, vecs = _query_vectors(ds, x)
-            weight = {}
-            for v in vecs:
-                weight[primitive(v)] = weight.get(primitive(v), 0) + 1
+            weight = Counter(primitive(v) for v in vecs)
             dirs = list(weight)
             for d in dirs:
                 sides = _circle_sides(d, dirs, list(weight.values()))
