@@ -557,7 +557,7 @@ def directional_quantile(ds: DataSet, u: Sequence[object], tau: object) -> Fract
     uden = math.lcm(*(c.denominator for c in ut))
     ui = tuple(int(c * uden) for c in ut)
     scale, rows = ds.scaled_ints()
-    projs = [sum(uc * rc for uc, rc in zip(ui, r)) for r in rows]
+    projs = [sum(map(operator.mul, ui, r)) for r in rows]
     projs.sort()
     return Fraction(projs[k - 1], uden * scale)
 

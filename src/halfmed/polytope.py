@@ -14,7 +14,6 @@ reported with a flag instead of a vertex list.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import pathlib
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ from .geometry import (
     Halfspace,
     Vec,
     affine_dimension,
-    angular_cmp,
-    canonical_direction,
     convex_hull_2d,
     cross3,
     dot,
@@ -165,28 +162,25 @@ def _feasible(hs: list[Halfspace], d: int) -> bool:
 # d = 2
 
 
-def _unbounded_direction_2d(hs: list[Halfspace]) -> bool:
-    normals = [h.normal for h in hs]
-    distinct = {canonical_direction(n) for n in normals}
-    if len(distinct) == 1:
-        return True
-    reps = [tuple(c for c in v) for v in distinct]
-    reps.sort(key=functools.cmp_to_key(angular_cmp))
-    for a, b in zip(reps, reps[1:] + reps[:1]):
-        c = a[0] * b[1] - a[1] * b[0]
-        if c < 0 or (c == 0 and a[0] * b[0] + a[1] * b[1] < 0):
-            return True
+def _unbounded_direction_2d(normals: list[tuple[int, ...]]) -> bool:
+    """Whether the recession cone ``{d : n . d >= 0 for every normal}`` is
+    nonzero.  In the plane a nonzero cone holds ``+-perp(n)`` for some
+    normal n: a line, a halfplane or one of a wedge's edge rays."""
+    for a, b in normals:
+        for d0, d1 in ((-b, a), (b, -a)):
+            if all(n0 * d0 + n1 * d1 >= 0 for n0, n1 in normals):
+                return True
     return False
 
 
 def _intersect_2d(hs: list[Halfspace]) -> Polytope:
     base = tuple(hs)
-    if _unbounded_direction_2d(hs):
+    ints = _int_halfspaces(hs)
+    if _unbounded_direction_2d([n for n, _ in ints]):
         if _feasible(hs, 2):
             return Polytope(base, (), 2, _equality_dim(hs, 2), empty=False, unbounded=True)
         return Polytope(base, (), 2, None, empty=True, unbounded=False)
 
-    ints = _int_halfspaces(hs)
     m = len(ints)
     found: set[Vec] = set()
     for i in range(m):
@@ -310,65 +304,97 @@ def _order_planar_cycle(verts: list[Vec]) -> list[Vec]:
 
 # ---------------------------------------------------------------------------
 # incremental polygon clipping (used by the region search in 2-D)
+#
+# A polygon is a list of reduced homogeneous integer vertices ``(x, y, w)``,
+# ``w > 0``, standing for ``(x / w, y / w)``, in ``convex_hull_2d`` order:
+# counter-clockwise from the lexicographically smallest vertex, with no
+# repeated or collinear vertices.  A segment is ``[smaller end, larger end]``,
+# a point ``[p]`` and the empty set ``[]``.  Reduced coordinates make equal
+# points equal tuples.
+
+
+def _hvertex(v: Sequence[Fraction]) -> tuple[int, int, int]:
+    """Reduced homogeneous integers of a rational point of the plane."""
+    x, y = v
+    w = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+
+
+def _hpoint(v: tuple[int, int, int]) -> Vec:
+    x, y, w = v
+    return (Fraction(x, w), Fraction(y, w))
+
+
+def _canonical_cycle(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Drop cyclic repeats and start the cycle at its lexicographically
+    smallest vertex."""
+    out = [p for i, p in enumerate(pts) if p != pts[i - 1]] or pts[:1]
+    first = 0
+    for i in range(1, len(out)):
+        (x, y, w), (fx, fy, fw) = out[i], out[first]
+        a, b = x * fw, fx * w
+        if a < b or (a == b and y * fw < fy * w):
+            first = i
+    return out[first:] + out[:first]
+
+
+def _box_polygon(xlo: Fraction, xhi: Fraction, ylo: Fraction, yhi: Fraction):
+    """The polygon of ``xlo <= x <= xhi, ylo <= y <= yhi``."""
+    if xlo > xhi or ylo > yhi:
+        return []
+    corners = ((xlo, ylo), (xhi, ylo), (xhi, yhi), (xlo, yhi))
+    return _canonical_cycle([_hvertex(c) for c in corners])
+
+
+def _clip(poly: list[tuple[int, int, int]], normal: tuple[int, ...], offset: int):
+    """Clip a polygon by the integer halfspace ``normal . x >= offset``.
+
+    A crossing lies strictly inside an edge, so clipping adds no collinear
+    vertex; a polygon that collapses keeps two or one distinct vertices, a
+    segment or a point.  A segment is the cycle ``a -> b -> a``, whose two
+    traversals give its crossing twice; the repeat is dropped.
+    """
+    a, b = normal
+    sides = [a * x + b * y - offset * w for x, y, w in poly]
+    if not sides or min(sides) >= 0:
+        return poly
+    if max(sides) < 0:
+        return []
+    m = len(poly)
+    out = []
+    for i, (p, sp) in enumerate(zip(poly, sides)):
+        if sp >= 0:
+            out.append(p)
+        q, sq = poly[(i + 1) % m], sides[(i + 1) % m]
+        if (sp > 0 > sq) or (sq > 0 > sp):
+            # |sq| p + |sp| q has side |sq| sp + |sp| sq = 0
+            fp, fq = abs(sq), abs(sp)
+            x, y, w = fp * p[0] + fq * q[0], fp * p[1] + fq * q[1], fp * p[2] + fq * q[2]
+            g = math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+    return _canonical_cycle(out)
+
+
+def _polygon_polytope(halfspaces: Sequence[Halfspace], poly) -> Polytope:
+    """The Polytope of ``halfspaces`` whose intersection is ``poly``."""
+    base = tuple(dedup_halfspaces(halfspaces))
+    if not poly:
+        return Polytope(base, (), 2, None, empty=True, unbounded=False)
+    verts = tuple(_hpoint(v) for v in poly)
+    return Polytope(base, verts, 2, min(len(verts), 3) - 1, empty=False, unbounded=False)
 
 
 def clip_polygon(vertices: Sequence[Vec], h: Halfspace) -> list[Vec]:
     """Clip a convex (possibly degenerate) vertex cycle by a halfspace.
 
     The input is a convex polygon given as a cyclic vertex list, a segment
-    (two vertices), a point, or empty; the exact clip returns the same kind
-    of normalized representation.
+    (two vertices), a point, or empty.  The exact clip is returned in
+    ``convex_hull_2d`` order: counter-clockwise from the lexicographically
+    smallest vertex, a segment as its smaller end and then its larger one.
     """
-    pts = list(vertices)
-    if not pts:
-        return []
-    if len(pts) == 1:
-        return pts if h.contains(pts[0]) else []
-    if len(pts) == 2:
-        kept = _clip_segment(pts[0], pts[1], h)
-        return kept
-    out: list[Vec] = []
-    n = len(pts)
-    side = [dot(h.normal, p) - h.offset for p in pts]
-    for i in range(n):
-        a, sa = pts[i], side[i]
-        b, sb = pts[(i + 1) % n], side[(i + 1) % n]
-        if sa >= 0:
-            out.append(a)
-        if (sa > 0 > sb) or (sb > 0 > sa):
-            t = sa / (sa - sb)
-            out.append(tuple(pa + t * (pb - pa) for pa, pb in zip(a, b)))
-    return _normalize_cycle(out)
-
-
-def _clip_segment(a: Vec, b: Vec, h: Halfspace) -> list[Vec]:
-    sa = dot(h.normal, a) - h.offset
-    sb = dot(h.normal, b) - h.offset
-    if sa >= 0 and sb >= 0:
-        return [a, b]
-    if sa < 0 and sb < 0:
-        return []
-    t = sa / (sa - sb)
-    cut = tuple(pa + t * (pb - pa) for pa, pb in zip(a, b))
-    keep = a if sa >= 0 else b
-    if cut == keep:
-        return [cut]
-    return [keep, cut] if sa >= 0 else [cut, keep]
-
-
-def _normalize_cycle(pts: list[Vec]) -> list[Vec]:
-    uniq: list[Vec] = []
-    for p in pts:
-        if not uniq or p != uniq[-1]:
-            uniq.append(p)
-    if len(uniq) > 1 and uniq[0] == uniq[-1]:
-        uniq.pop()
-    if len(uniq) <= 1:
-        return uniq
-    if len(uniq) == 2:
-        return uniq
-    hull = convex_hull_2d(uniq)
-    return hull
+    poly = [_hvertex(v) for v in convex_hull_2d(list(vertices))]
+    ((normal, offset),) = _int_halfspaces([h])
+    return [_hpoint(v) for v in _clip(poly, normal, offset)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ Two independent construction routes are provided:
   every vertex of the current polytope, and cut off each insufficiently
   deep vertex with a valid quantile halfspace until every vertex is
   certified.  Quasi-concavity of the depth makes the certified polytope
-  exactly the region.  In the plane the cuts are tightened to *critical*
-  directions (perpendiculars of point differences): on any arc of
-  directions where the quantile contact point is constant, the quantile
-  halfspaces form a pencil through that contact, so the arc's endpoint
-  halfspaces carve everything the arc can carve.  Critical directions form
-  a finite family, which guarantees termination.
+  exactly the region.  In the plane the polytope is one exact integer
+  polygon, started as the box and clipped by each new cut as it is made,
+  and the cuts are tightened to *critical* directions (perpendiculars of
+  point differences): on any arc of directions where the quantile contact
+  point is constant, the quantile halfspaces form a pencil through that
+  contact, so the arc's endpoint halfspaces carve everything the arc can
+  carve.  Critical directions form a finite family, which guarantees
+  termination.
 
 Both routes return identical polytopes; the cutting route scales to
 thousands of points and tolerates degenerate (affinely deficient) data.
@@ -59,7 +61,11 @@ from .geometry import (
 )
 from .polytope import (
     Polytope,
+    _box_polygon,
+    _clip,
+    _hpoint,
     _int_halfspaces,
+    _polygon_polytope,
     barycenter,
     intersect_halfspaces,
     vertex_centroid,
@@ -408,34 +414,43 @@ def _region_by_cuts_2d(
     deadline: float | None,
     seed_directions: Sequence[Vec] = (),
 ) -> tuple[Polytope, list[Vec]]:
-    """Exact cutting-plane loop; returns the region and the cut directions."""
+    """Exact cutting-plane loop; returns the region and the cut directions.
+
+    One integer polygon is carried through the rounds: the axis quantile
+    box, clipped by the seed cuts and then by each round's new cuts.
+    """
     constraints = _axis_quantile_box(ds, tau)
     seen_keys = {h.canonical_key() for h in constraints}
+    # the box is x >= xlo, -x >= -xhi, y >= ylo, -y >= -yhi
+    xlo, neg_xhi, ylo, neg_yhi = (h.offset for h in constraints)
+    poly = _box_polygon(xlo, -neg_xhi, ylo, -neg_yhi)
     directions: list[Vec] = []
+    fresh: list[Halfspace] = []
     for u in seed_directions:
         h = halfspace(u, directional_quantile(ds, u, tau))
         if h.canonical_key() not in seen_keys:
             seen_keys.add(h.canonical_key())
             constraints.append(h)
             directions.append(u)
-    certified: dict[Vec, int] = {}
+            fresh.append(h)
+    certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("region construction exceeded its deadline")
-        poly = intersect_halfspaces(constraints, dim=2)
-        if poly.empty:
-            return poly, directions
-        if poly.unbounded:
-            raise RuntimeError("quantile box must bound the region search")
-        added = False
-        for v in poly.vertices:
-            cnt = certified.get(v)
+        for normal, offset in _int_halfspaces(fresh):
+            poly = _clip(poly, normal, offset)
+        if not poly:
+            return _polygon_polytope(constraints, poly), directions
+        fresh = []
+        for hv in poly:
+            cnt = certified.get(hv)
             u_wit: Vec | None = None
             if cnt is None:
-                cnt, u_wit = witness_cut(v, ds)
-                certified[v] = cnt
+                cnt, u_wit = witness_cut(_hpoint(hv), ds)
+                certified[hv] = cnt
             if cnt >= k:
                 continue
+            v = _hpoint(hv)
             if u_wit is None:
                 _, u_wit = witness_cut(v, ds)
             # tighten the witness direction to the bracketing critical
@@ -458,9 +473,9 @@ def _region_by_cuts_2d(
                     seen_keys.add(key)
                     constraints.append(h)
                     directions.append(h.normal)
-                    added = True
-        if not added:
-            return poly, directions
+                    fresh.append(h)
+        if not fresh:
+            return _polygon_polytope(constraints, poly), directions
     raise RuntimeError("cutting-plane region search failed to converge")
 
 

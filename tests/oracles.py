@@ -481,3 +481,130 @@ def reference_depth3_int(c0, vecs):
             best_count = count
             best_witness = u
     return best_count, best_witness
+
+
+# ---------------------------------------------------------------------------
+# reference planar cutting loop: every round re-intersects all constraints,
+# and the Fraction polygon clip it replaced
+
+
+def reference_region_by_cuts_2d(ds: DataSet, tau, k: int, seed_directions=()):
+    """The 2-D cutting loop with one ``intersect_halfspaces`` per round."""
+    from halfmed.depth import directional_quantile, witness_cut
+    from halfmed.geometry import halfspace
+    from halfmed.polytope import intersect_halfspaces
+    from halfmed.regions import (
+        _axis_quantile_box,
+        _bracketing_criticals_2d,
+        _contact_location,
+    )
+
+    constraints = _axis_quantile_box(ds, tau)
+    seen_keys = {h.canonical_key() for h in constraints}
+    directions = []
+    for u in seed_directions:
+        h = halfspace(u, directional_quantile(ds, u, tau))
+        if h.canonical_key() not in seen_keys:
+            seen_keys.add(h.canonical_key())
+            constraints.append(h)
+            directions.append(u)
+    certified = {}
+    for _ in range(500):
+        poly = intersect_halfspaces(constraints, dim=2)
+        if poly.empty:
+            return poly, directions
+        added = False
+        for v in poly.vertices:
+            cnt = certified.get(v)
+            u_wit = None
+            if cnt is None:
+                cnt, u_wit = witness_cut(v, ds)
+                certified[v] = cnt
+            if cnt >= k:
+                continue
+            if u_wit is None:
+                _, u_wit = witness_cut(v, ds)
+            contact = _contact_location(ds, u_wit, k)
+            cuts = []
+            for w in _bracketing_criticals_2d(ds, u_wit, contact):
+                qw = directional_quantile(ds, w, tau)
+                if sum(wc * vc for wc, vc in zip(w, v)) < qw:
+                    cuts.append(halfspace(w, qw))
+            if not cuts:
+                cuts.append(halfspace(u_wit, directional_quantile(ds, u_wit, tau)))
+            for h in cuts:
+                key = h.canonical_key()
+                if key not in seen_keys:
+                    seen_keys.add(key)
+                    constraints.append(h)
+                    directions.append(h.normal)
+                    added = True
+        if not added:
+            return poly, directions
+    raise RuntimeError("cutting-plane region search failed to converge")
+
+
+def _reference_side(h, p):
+    return sum(nc * pc for nc, pc in zip(h.normal, p)) - h.offset
+
+
+def reference_clip_polygon(vertices, h):
+    """Sutherland-Hodgman in Fractions; a segment keeps its traversal order
+    and a polygon of three or more vertices comes back as its hull."""
+    from halfmed.geometry import convex_hull_2d
+
+    pts = list(vertices)
+    if not pts:
+        return []
+    if len(pts) == 1:
+        return pts if _reference_side(h, pts[0]) >= 0 else []
+    if len(pts) == 2:
+        a, b = pts
+        sa, sb = _reference_side(h, a), _reference_side(h, b)
+        if sa >= 0 and sb >= 0:
+            return [a, b]
+        if sa < 0 and sb < 0:
+            return []
+        t = sa / (sa - sb)
+        cut = tuple(pa + t * (pb - pa) for pa, pb in zip(a, b))
+        keep = a if sa >= 0 else b
+        if cut == keep:
+            return [cut]
+        return [keep, cut] if sa >= 0 else [cut, keep]
+    out = []
+    side = [_reference_side(h, p) for p in pts]
+    n = len(pts)
+    for i in range(n):
+        a, sa = pts[i], side[i]
+        b, sb = pts[(i + 1) % n], side[(i + 1) % n]
+        if sa >= 0:
+            out.append(a)
+        if (sa > 0 > sb) or (sb > 0 > sa):
+            t = sa / (sa - sb)
+            out.append(tuple(pa + t * (pb - pa) for pa, pb in zip(a, b)))
+    uniq = []
+    for p in out:
+        if not uniq or p != uniq[-1]:
+            uniq.append(p)
+    if len(uniq) > 1 and uniq[0] == uniq[-1]:
+        uniq.pop()
+    if len(uniq) <= 2:
+        return uniq
+    return convex_hull_2d(uniq)
+
+
+def reference_unbounded_direction_2d(hs):
+    """Whether the normals leave an angular gap of at least pi (Fractions)."""
+    import functools
+
+    from halfmed.geometry import angular_cmp, canonical_direction
+
+    reps = {canonical_direction(h.normal) for h in hs}
+    reps = sorted(reps, key=functools.cmp_to_key(angular_cmp))
+    if len(reps) == 1:
+        return True
+    for a, b in zip(reps, reps[1:] + reps[:1]):
+        c = a[0] * b[1] - a[1] * b[0]
+        if c < 0 or (c == 0 and a[0] * b[0] + a[1] * b[1] < 0):
+            return True
+    return False

@@ -1,11 +1,16 @@
 """Exact halfspace intersections, clipping, centroids, and region export."""
 
+import math
 import random
 from fractions import Fraction as F
 
-from halfmed.geometry import dataset, halfspace, point
+from halfmed.geometry import convex_hull_2d, dataset, halfspace, point
 from halfmed.polytope import (
+    _clip,
+    _hvertex,
+    _int_halfspaces,
     _intersect_3d,
+    _unbounded_direction_2d,
     barycenter,
     clip_polygon,
     dedup_halfspaces,
@@ -14,7 +19,12 @@ from halfmed.polytope import (
     write_region_files,
 )
 
-from oracles import random_dataset, reference_intersect_3d
+from oracles import (
+    random_dataset,
+    reference_clip_polygon,
+    reference_intersect_3d,
+    reference_unbounded_direction_2d,
+)
 
 
 def _square(lo=0, hi=1):
@@ -252,6 +262,88 @@ class TestClipPolygon:
         tri = [point((0, 0)), point((2, 0)), point((1, 1))]
         out = clip_polygon(tri, halfspace((0, -1), -5))
         assert set(out) == set(tri)
+
+
+def _random_shape(rng):
+    """A polygon, segment or point on a coarse rational grid, hull-ordered."""
+    while True:
+        pts = [
+            (F(rng.randint(-6, 6), rng.randint(1, 3)), F(rng.randint(-6, 6), rng.randint(1, 3)))
+            for _ in range(rng.choice((1, 2, 2, 3, 4, 5, 7)))
+        ]
+        shape = convex_hull_2d(pts)
+        if shape:
+            return shape
+
+
+def _cuts_for(rng, shape):
+    """Random cuts, cuts through a vertex or two, and cuts along an edge
+    line in both senses (one keeps the shape, one collapses it to the edge)."""
+    cuts = []
+    for _ in range(3):
+        nrm = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if nrm != (0, 0):
+            cuts.append(halfspace(nrm, F(rng.randint(-9, 9), rng.randint(1, 4))))
+    for v in shape:
+        nrm = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if nrm != (0, 0):
+            cuts.append(halfspace(nrm, sum(a * b for a, b in zip(nrm, v))))
+    for a, b in zip(shape, shape[1:] + shape[:1]):
+        if a != b:
+            nrm = (a[1] - b[1], b[0] - a[0])
+            off = sum(x * y for x, y in zip(nrm, a))
+            cuts += [halfspace(nrm, off), halfspace(tuple(-c for c in nrm), -off)]
+            # the same line, shifted a little to either side
+            cuts += [halfspace(nrm, off + F(1, 7)), halfspace(nrm, off - F(1, 7))]
+    return cuts
+
+
+class TestClipMatchesFractionReference:
+    """The integer clip against the Fraction Sutherland-Hodgman reference."""
+
+    def test_random_shapes_and_cuts(self):
+        rng = random.Random(606)
+        seen = set()
+        for _ in range(400):
+            shape = _random_shape(rng)
+            for h in _cuts_for(rng, shape):
+                want = reference_clip_polygon(shape, h)
+                got = clip_polygon(shape, h)
+                # the reference's vertices in hull order, which is its own
+                # order whenever three or more vertices remain
+                assert got == convex_hull_2d(want), (shape, h)
+                if len(want) >= 3:
+                    assert got == want
+                # reversed (clockwise) input gives the same clip
+                assert clip_polygon(shape[::-1], h) == got
+                # the integer routine: reduced homogeneous vertices, w > 0
+                ((normal, offset),) = _int_halfspaces([h])
+                ints = _clip([_hvertex(v) for v in shape], normal, offset)
+                assert ints == [_hvertex(v) for v in got]
+                assert all(w > 0 and math.gcd(x, y, w) == 1 for x, y, w in ints)
+                seen.add((min(len(shape), 3), min(len(got), 3)))
+        # polygons, segments and points that stay, shrink, collapse to a
+        # segment or a point, or vanish
+        assert seen == {(3, 3), (3, 2), (3, 1), (3, 0), (2, 2), (2, 1), (2, 0), (1, 1), (1, 0)}
+
+
+class TestUnboundedTestMatchesFractionReference:
+    def test_random_normal_sets(self):
+        rng = random.Random(77)
+        outcomes = set()
+        for _ in range(600):
+            base = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+            base = [v for v in base if v != (0, 0)] or [(1, 0)]
+            # rescaled and reversed copies make parallel and opposite normals
+            normals = base + [
+                tuple(c * rng.choice((-2, -1, 1, 3)) for c in rng.choice(base))
+                for _ in range(rng.randint(0, 3))
+            ]
+            hs = [halfspace(nv, rng.randint(-3, 3)) for nv in normals]
+            want = reference_unbounded_direction_2d(hs)
+            assert _unbounded_direction_2d([nv for nv, _ in _int_halfspaces(hs)]) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestBarycenter:

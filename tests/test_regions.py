@@ -23,7 +23,9 @@ from halfmed import (
     is_irrotatable,
     max_depth,
     median_region,
+    sample,
     tukey_depth,
+    uniform_ball,
 )
 
 from halfmed import polytope, regions
@@ -38,6 +40,7 @@ from oracles import (
     reference_contact_location,
     reference_enumerate_irrotatable_3d,
     reference_intersect_3d,
+    reference_region_by_cuts_2d,
 )
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
@@ -265,6 +268,52 @@ class TestCuttingHelpersMatchFractionFormulas:
             self._check(random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4))
 
 
+class TestPolygonLoopMatchesReference:
+    """The clipped-polygon cutting loop against the re-intersecting one.
+
+    Equal ``repr``s pin the halfspace tuple, the vertices and their order;
+    equal directions pin every cut, and so the seeds of the next level.
+    """
+
+    DATASETS = [
+        DS_A,
+        TestCuttingHelpersMatchFractionFormulas.TIES,
+        # every point on one line: the regions are segments and points
+        dataset([(0, 0), (1, 2), (1, 2), (2, 4), (F(-1, 2), -1), (3, 6)]),
+        # duplicated centre with collinear arms
+        dataset([(0, 0), (0, 0), (0, 0), (1, 0), (2, 0), (-1, 0), (0, 1), (0, -2), (1, 1)]),
+    ]
+
+    def _check(self, ds, seen):
+        n = ds.n
+        fixed = [(F(1), F(1)), (F(-1, 2), F(1)), (F(2), F(-3))]
+        prev: list = []
+        for k in range(1, n + 1):
+            tau = F(k, n)
+            for seeds in ([], fixed, prev):
+                got = regions._region_by_cuts_2d(ds, tau, k, None, seeds)
+                want = reference_region_by_cuts_2d(ds, tau, k, seeds)
+                assert (repr(got[0]), got[1]) == (repr(want[0]), want[1]), (ds.points, k, seeds)
+                poly = got[0]
+                seen.add("empty" if poly.empty else min(len(poly.vertices), 3))
+            prev = got[1]
+
+    def test_degenerate_data(self):
+        seen: set = set()
+        for ds in self.DATASETS:
+            self._check(ds, seen)
+        assert seen == {"empty", 1, 2, 3}
+
+    def test_random_degenerate_data(self):
+        rng = random.Random(2031)
+        seen: set = set()
+        for _ in range(12):
+            self._check(random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4), seen)
+        for seed in (1, 2):
+            self._check(sample(uniform_ball(2), n=14, seed=seed, bits=21), seen)
+        assert seen == {"empty", 1, 2, 3}
+
+
 # ---------------------------------------------------------------------------
 # the integer certificate layer against the Fraction reference
 
@@ -376,6 +425,13 @@ class TestDeadlineAndCallScope:
         with pytest.raises(TimeoutError):
             median_region(ds, deadline=time.monotonic() - 1)
         assert regions._SCOPE not in ds._cache
+
+    def test_planar_region_and_median_with_expired_deadline_raise(self):
+        ds = dataset(TestCuttingHelpersMatchFractionFormulas.TIES.points)
+        with pytest.raises(TimeoutError):
+            depth_region(ds, F(1, 4), deadline=time.monotonic() - 1)
+        with pytest.raises(TimeoutError):
+            median_region(ds, deadline=time.monotonic() - 1)
 
     def test_plane_table_and_counts_do_not_outlive_the_call(self):
         ds = dataset(CLUSTER_3D.points)
