@@ -42,6 +42,7 @@ from .geometry import (
     as_fraction,
     canonical_direction,
     cross3,
+    dot3,
     primitive,
 )
 
@@ -178,18 +179,17 @@ def _cell_witness_2d(anchor: tuple[int, int], groups: list[tuple[int, int]]) -> 
     """
     ax, ay = anchor
     u0 = (-ay, ax)
-    eps: Fraction | None = None
-    for g in groups:
-        du = u0[0] * g[0] + u0[1] * g[1]
-        da = ax * g[0] + ay * g[1]
-        if du != 0 and da != 0:
-            cand = Fraction(abs(du), abs(da))
-            if eps is None or cand < eps:
-                eps = cand
-    if eps is None:
+    # eps = en / ed, the smallest |du| / |da|, compared by cross-multiplying
+    en = ed = 0
+    for gx, gy in groups:
+        du = abs(ax * gy - ay * gx)
+        da = abs(ax * gx + ay * gy)
+        if du != 0 and da != 0 and (ed == 0 or du * ed < en * da):
+            en, ed = du, da
+    if ed == 0:
         # no group constrains the rotation amount; any positive tilt works
         return (u0[0] + ax, u0[1] + ay)
-    half = eps / 2
+    half = Fraction(en, 2 * ed)
     q = half.denominator
     p = half.numerator
     return (q * u0[0] + p * ax, q * u0[1] + p * ay)
@@ -221,13 +221,9 @@ def _vec_rank3(vecs: list[tuple[int, int, int]]):
     if normal is None:
         return 1, (b1, None, None)
     for v in vecs:
-        if _dot3i(normal, v) != 0:
+        if dot3(normal, v) != 0:
             return 3, (b1, b2, normal)
     return 2, (b1, b2, normal)
-
-
-def _dot3i(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _pseudo_angle(v: Sequence[int]) -> float:
@@ -320,7 +316,7 @@ def _depth3_int(
     rank, (b1, b2, normal) = _vec_rank3(vecs)
 
     if rank == 1:
-        pos = sum(1 for v in vecs if _dot3i(b1, v) > 0)
+        pos = sum(1 for v in vecs if dot3(b1, v) > 0)
         neg = n_nz - pos
         # u = +-b1 puts the smaller side at or below the boundary
         u = b1 if neg <= pos else tuple(-c for c in b1)
@@ -328,7 +324,7 @@ def _depth3_int(
 
     if rank == 2:
         bb2 = cross3(normal, b1)
-        mapped = [(_dot3i(b1, v), _dot3i(bb2, v)) for v in vecs]
+        mapped = [(dot3(b1, v), dot3(bb2, v)) for v in vecs]
         groups, mult = _groups_python(mapped)
         count, anchors = _depth2_counts(c0, groups, mult)
 
@@ -377,7 +373,7 @@ def _depth3_int(
         ortho = [v for v in vecs if e0 * v[0] + e1 * v[1] + e2 * v[2] == 0]
         bb1 = ortho[0]
         bb2 = cross3(e, bb1)
-        mapped = [(_dot3i(bb1, v), _dot3i(bb2, v)) for v in ortho]
+        mapped = [(dot3(bb1, v), dot3(bb2, v)) for v in ortho]
         groups, mult = _groups_python(mapped)
         wbest, anchors = _max_window(groups, mult)
         count = c0 + b + (len(ortho) - wbest)
@@ -393,19 +389,18 @@ def _edge_witness(vecs, e, bb1, bb2, groups, anchors) -> tuple[int, ...]:
     """Exact direction inside the best cell next to the arrangement edge ``e``."""
     s, t = _cell_witness_2d(groups[anchors[0]], groups)
     w3 = tuple(s * a + t * b for a, b in zip(bb1, bb2))
-    delta: Fraction | None = None
+    # delta = dn / dd, the smallest |e . v| / |w3 . v|, by cross-multiplying
+    dn = dd = 0
     for v in vecs:
-        se = _dot3i(e, v)
+        se = abs(dot3(e, v))
         if se == 0:
             continue
-        sw = _dot3i(w3, v)
-        if sw != 0:
-            cand = Fraction(abs(se), abs(sw))
-            if delta is None or cand < delta:
-                delta = cand
-    if delta is None:
+        sw = abs(dot3(w3, v))
+        if sw != 0 and (dd == 0 or se * dd < dn * sw):
+            dn, dd = se, sw
+    if dd == 0:
         return tuple(q_e + w for q_e, w in zip(e, w3))
-    half = delta / 2
+    half = Fraction(dn, 2 * dd)
     return tuple(half.denominator * ec + half.numerator * wc for ec, wc in zip(e, w3))
 
 

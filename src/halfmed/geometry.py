@@ -93,6 +93,11 @@ def cross2(u: Sequence, v: Sequence):
     return u[0] * v[1] - u[1] * v[0]
 
 
+def dot3(u: Sequence, v: Sequence):
+    """Dot product of 3-vectors; integer inputs give integers."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def cross3(u: Sequence, v: Sequence) -> tuple:
     """Cross product; integer inputs give integers, Fractions give Fractions."""
     return (
@@ -142,26 +147,34 @@ def angular_cmp(a: Sequence, b: Sequence) -> int:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix (Gaussian elimination)."""
-    rows = [list(r) for r in rows if any(c != 0 for c in r)]
-    if not rows:
+    """Exact rank of a matrix of ints or Fractions (fraction-free elimination).
+
+    Each row is scaled to integers, which keeps the rank; Bareiss elimination
+    then divides every updated entry exactly by the previous pivot.
+    """
+    ints = []
+    for r in rows:
+        if any(c != 0 for c in r):
+            den = math.lcm(*(c.denominator for c in r))
+            ints.append([c.numerator * (den // c.denominator) for c in r])
+    if not ints:
         return 0
-    cols = len(rows[0])
+    cols = len(ints[0])
     rank = 0
-    col = 0
-    while col < cols and rank < len(rows):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    prev = 1
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(ints)) if ints[i][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        ints[rank], ints[pivot] = ints[pivot], ints[rank]
+        pr = ints[rank]
+        p = pr[col]
+        for i in range(rank + 1, len(ints)):
+            r = ints[i]
+            f = r[col]
+            ints[i] = [(p * a - f * b) // prev for a, b in zip(r, pr)]
+        prev = p
         rank += 1
-        col += 1
     return rank
 
 

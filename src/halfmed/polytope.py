@@ -5,7 +5,9 @@ segments, single points, or empty sets — so the vertex enumeration never
 assumes full dimensionality.  Vertices are found as solutions of d boundary
 hyperplanes validated against every constraint, entirely in integer
 arithmetic after clearing denominators; a point found this way and satisfying
-all constraints is exactly an extreme point of the intersection.
+all constraints is exactly an extreme point of the intersection.  A cutting
+loop that adds planes to a bounded intersection solves only the plane
+triples with a new plane and keeps the old vertices inside the new ones.
 
 Unbounded intersections are detected exactly (recession-cone test) and
 reported with a flag instead of a vertex list.
@@ -27,6 +29,7 @@ from .geometry import (
     convex_hull_2d,
     cross3,
     dot,
+    dot3,
     format_rational,
     matrix_rank,
     vsub,
@@ -215,7 +218,7 @@ def _intersect_2d(hs: list[Halfspace]) -> Polytope:
 def _unbounded_direction_3d(hs: list[Halfspace]) -> bool:
     ints = _int_halfspaces(hs)
     normals = [n for n, _ in ints]
-    if matrix_rank([[Fraction(c) for c in n] for n in normals]) <= 2:
+    if matrix_rank(normals) <= 2:
         return True
     m = len(normals)
     for i in range(m):
@@ -235,8 +238,20 @@ def _intersect_3d(hs: list[Halfspace]) -> Polytope:
         if _feasible(hs, 3):
             return Polytope(base, (), 3, _equality_dim(hs, 3), empty=False, unbounded=True)
         return Polytope(base, (), 3, None, empty=True, unbounded=False)
+    return _polytope_3d(base, _plane_triples(_int_halfspaces(hs)))
 
-    ints = _int_halfspaces(hs)
+
+def _plane_triples(
+    ints: list[tuple[tuple[int, ...], int]], start: int = 0
+) -> set[tuple[int, int, int, int]]:
+    """Vertices met by the boundary planes ``i < j < k`` with ``k >= start``.
+
+    Each vertex satisfies every constraint of ``ints`` and is returned as
+    reduced homogeneous integers ``(x, y, z, w)``, ``w > 0``, standing for
+    ``(x / w, y / w, z / w)``.  With ``start = 0`` every triple is solved; a
+    cutting loop that appended new planes from ``start`` on solves only the
+    triples containing a new one, since any other vertex is an old vertex.
+    """
     m = len(ints)
     # the boundary planes i < j < k meet in x = (ci (nj x nk) - cj (ni x nk)
     # + ck (ni x nj)) / det with det = ni . (nj x nk): every triple reads
@@ -245,7 +260,8 @@ def _intersect_3d(hs: list[Halfspace]) -> Polytope:
         [None] * (i + 1) + [cross3(ints[i][0], ints[j][0]) for j in range(i + 1, m)]
         for i in range(m)
     ]
-    found: set[Vec] = set()
+    found: set[tuple[int, int, int, int]] = set()
+    last = 0
     for i in range(m):
         (a0, a1, a2), ci = ints[i]
         cross_i = crosses[i]
@@ -253,7 +269,7 @@ def _intersect_3d(hs: list[Halfspace]) -> Polytope:
             cj = ints[j][1]
             ij0, ij1, ij2 = cross_i[j]
             cross_j = crosses[j]
-            for k in range(j + 1, m):
+            for k in range(max(j + 1, start), m):
                 jk0, jk1, jk2 = cross_j[k]
                 det = a0 * jk0 + a1 * jk1 + a2 * jk2
                 if det == 0:
@@ -263,23 +279,48 @@ def _intersect_3d(hs: list[Halfspace]) -> Polytope:
                 x0 = ci * jk0 - cj * ik0 + ck * ij0
                 x1 = ci * jk1 - cj * ik1 + ck * ij1
                 x2 = ci * jk2 - cj * ik2 + ck * ij2
-                if det > 0:
-                    ok = all(n0 * x0 + n1 * x1 + n2 * x2 >= c * det for (n0, n1, n2), c in ints)
+                if det < 0:
+                    x0, x1, x2, det = -x0, -x1, -x2, -det
+                # the constraint that cut off the last candidate is tried
+                # first: nearby triples tend to fail on the same one
+                (n0, n1, n2), c = ints[last]
+                if n0 * x0 + n1 * x1 + n2 * x2 < c * det:
+                    continue
+                for idx, ((n0, n1, n2), c) in enumerate(ints):
+                    if n0 * x0 + n1 * x1 + n2 * x2 < c * det:
+                        last = idx
+                        break
                 else:
-                    ok = all(n0 * x0 + n1 * x1 + n2 * x2 <= c * det for (n0, n1, n2), c in ints)
-                if ok:
-                    found.add((Fraction(x0, det), Fraction(x1, det), Fraction(x2, det)))
-    if not found:
-        return Polytope(base, (), 3, None, empty=True, unbounded=False)
-    verts = sorted(found)
-    adim = affine_dimension(verts)
+                    g = math.gcd(x0, x1, x2, det)
+                    found.add((x0 // g, x1 // g, x2 // g, det // g))
+    return found
+
+
+def _vertex_order(hverts) -> tuple[list[tuple[Vec, tuple[int, ...]]], int]:
+    """``(point, homogeneous vertex)`` pairs in ``Polytope.vertices`` order,
+    and their affine dimension (-1 for none).
+
+    The order is sorted, or a convex cycle when the points are coplanar.
+    The affine dimension is the rank of the homogeneous rows minus one.
+    """
+    pairs = sorted((_hpoint(v), v) for v in hverts)
+    adim = matrix_rank(list(hverts)) - 1
     if adim == 2:
-        verts = _order_planar_cycle(verts)
-    return Polytope(base, tuple(verts), 3, adim, empty=False, unbounded=False)
+        hv_of = dict(pairs)
+        pairs = [(p, hv_of[p]) for p in _order_planar_cycle([p for p, _ in pairs])]
+    return pairs, adim
+
+
+def _polytope_3d(base: tuple[Halfspace, ...], hverts) -> Polytope:
+    """The bounded Polytope of ``base`` whose vertices are ``hverts``."""
+    if not hverts:
+        return Polytope(base, (), 3, None, empty=True, unbounded=False)
+    pairs, adim = _vertex_order(hverts)
+    return Polytope(base, tuple(p for p, _ in pairs), 3, adim, empty=False, unbounded=False)
 
 
 def _order_planar_cycle(verts: list[Vec]) -> list[Vec]:
-    """Order coplanar extreme points into a convex cycle (exact)."""
+    """Order coplanar extreme points (ints or Fractions) into a convex cycle."""
     base = verts[0]
     b1 = None
     normal = None
@@ -296,7 +337,7 @@ def _order_planar_cycle(verts: list[Vec]) -> list[Vec]:
     if b1 is None or normal is None:
         return verts
     b2 = cross3(normal, b1)
-    coords = {v: (dot(b1, vsub(v, base)), dot(b2, vsub(v, base))) for v in verts}
+    coords = {v: (dot3(b1, vsub(v, base)), dot3(b2, vsub(v, base))) for v in verts}
     hull2 = convex_hull_2d(list(coords.values()))
     back = {coords[v]: v for v in verts}
     return [back[c] for c in hull2]
@@ -320,9 +361,10 @@ def _hvertex(v: Sequence[Fraction]) -> tuple[int, int, int]:
     return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
 
 
-def _hpoint(v: tuple[int, int, int]) -> Vec:
-    x, y, w = v
-    return (Fraction(x, w), Fraction(y, w))
+def _hpoint(v: tuple[int, ...]) -> Vec:
+    """The rational point of reduced homogeneous integers ``(..., w)``."""
+    w = v[-1]
+    return tuple([Fraction(c, w) for c in v[:-1]])
 
 
 def _canonical_cycle(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
@@ -468,32 +510,46 @@ def _polygon_centroid(verts: Sequence[Vec]) -> Vec:
 
 
 def _polyhedron_centroid(verts: list[Vec], halfspaces) -> Vec:
-    vset = set(verts)
-    g = tuple(sum(col, Fraction(0)) / len(verts) for col in zip(*verts))
-    total = Fraction(0)
-    acc = [Fraction(0)] * 3
-    for h in halfspaces:
-        face = [v for v in vset if dot(h.normal, v) == h.offset]
+    """Volume centroid as pyramids from the vertex average g over the fan
+    triangles of every face (the vertices on a halfspace's boundary plane).
+
+    Runs on integers: with the vertices on one common denominator D as rows
+    P, ``n D (a - g) = n P_a - G`` with ``G`` the row sum, so each pyramid's
+    six-fold volume and moment scale by fixed powers of ``n D``, which the
+    one division at the end removes.
+    """
+    n = len(verts)
+    den = math.lcm(*(c.denominator for v in verts for c in v))
+    rows = {v: tuple([c.numerator * (den // c.denominator) for c in v]) for v in verts}
+    gsum = tuple(map(sum, zip(*(rows[v] for v in verts))))
+    vset = set(rows.values())
+    total = 0
+    acc = [0, 0, 0]
+    for normal, offset in _int_halfspaces(list(halfspaces)):
+        level = offset * den
+        face = [p for p in vset if dot3(normal, p) == level]
         if len(face) < 3:
             continue
         cycle = _order_planar_cycle(sorted(face))
         if len(cycle) < 3:
             continue
         # orient the cycle so the face normal points away from g
-        fc = tuple(sum(col, Fraction(0)) / len(cycle) for col in zip(*cycle))
+        fsum = tuple(map(sum, zip(*cycle)))
         nrm = cross3(vsub(cycle[1], cycle[0]), vsub(cycle[2], cycle[0]))
-        if dot(nrm, vsub(fc, g)) < 0:
+        if dot3(nrm, tuple(n * f - len(cycle) * g for f, g in zip(fsum, gsum))) < 0:
             cycle = list(reversed(cycle))
         a = cycle[0]
+        ea = tuple(n * c - g for c, g in zip(a, gsum))
         for b, c in zip(cycle[1:], cycle[2:]):
-            ea, eb, ec = vsub(a, g), vsub(b, g), vsub(c, g)
-            vol6 = dot(ea, cross3(eb, ec))
+            eb = tuple(n * x - g for x, g in zip(b, gsum))
+            ec = tuple(n * x - g for x, g in zip(c, gsum))
+            vol6 = dot3(ea, cross3(eb, ec))
             total += vol6
             for i in range(3):
-                acc[i] += vol6 * (g[i] + a[i] + b[i] + c[i])
+                acc[i] += vol6 * (gsum[i] + n * (a[i] + b[i] + c[i]))
     if total == 0:
-        return g
-    return tuple(a / (4 * total) for a in acc)
+        return tuple(Fraction(g, n * den) for g in gsum)
+    return tuple(Fraction(x, 4 * n * den * total) for x in acc)
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,23 @@ Two independent construction routes are provided:
   of these finitely many halfspaces.
 
 * **cuts** — an exact cutting-plane loop: start from the axis quantile
-  halfspaces (a bounding box of the region), evaluate the exact depth at
-  every vertex of the current polytope, and cut off each insufficiently
-  deep vertex with a valid quantile halfspace until every vertex is
-  certified.  Quasi-concavity of the depth makes the certified polytope
-  exactly the region.  In the plane the polytope is one exact integer
-  polygon, started as the box and clipped by each new cut as it is made,
-  and the cuts are tightened to *critical* directions (perpendiculars of
-  point differences): on any arc of directions where the quantile contact
-  point is constant, the quantile halfspaces form a pencil through that
-  contact, so the arc's endpoint halfspaces carve everything the arc can
-  carve.  Critical directions form a finite family, which guarantees
-  termination.
+  halfspaces (a bounding box of the region), cut off each vertex of the
+  current polytope that lies outside the region with a valid halfspace,
+  and stop when every vertex is certified.  Quasi-concavity of the depth
+  makes the certified polytope exactly the region.  The polytope is carried
+  through the rounds on exact integers and updated by each round's cuts
+  only.  In the plane every vertex gets an exact depth evaluation; the
+  polygon is clipped by each new cut, and the cuts are tightened to
+  *critical* directions (perpendiculars of point differences): on any arc
+  of directions where the quantile contact point is constant, the quantile
+  halfspaces form a pencil through that contact, so the arc's endpoint
+  halfspaces carve everything the arc can carve.  Critical directions form
+  a finite family, which guarantees termination.  In space the cuts are
+  the level's certificates, which all contain the region and, up to the
+  maximal depth, meet in it: a vertex lies outside the region exactly when
+  one of them excludes it, an integer dot product each.  Only vertices
+  that no certificate excludes get a depth evaluation, and a shallow one
+  shows the level to be empty.
 
 Both routes return identical polytopes; the cutting route scales to
 thousands of points and tolerates degenerate (affinely deficient) data.
@@ -65,8 +70,12 @@ from .polytope import (
     _clip,
     _hpoint,
     _int_halfspaces,
+    _plane_triples,
     _polygon_polytope,
+    _polytope_3d,
+    _vertex_order,
     barycenter,
+    dedup_halfspaces,
     intersect_halfspaces,
     vertex_centroid,
 )
@@ -624,37 +633,51 @@ def _region_3d_lazy_certificates(
 ) -> Polytope:
     """Cutting loop over the (complete) certificate family in space.
 
-    ``counts`` caches vertex depth counts; they hold at every level.
+    Every certificate contains the region, and up to the maximal depth
+    their intersection is the region.  So a vertex that some certificate
+    excludes is cut by the first such one, with no depth query; only a
+    vertex that none excludes gets ``_vertex_count`` (``counts`` holds at
+    every level), and a shallow one means the level is empty.
+
+    The polytope is carried through the rounds as homogeneous integer
+    vertices: the axis quantile box bounds it, old vertices that satisfy the
+    new cuts stay, and only plane triples with a new cut are solved.
     """
-    certs = enumerate_irrotatable(ds, tau)
-    family = [c.halfspace for c in certs]
+    family = [c.halfspace for c in enumerate_irrotatable(ds, tau)]
+    family_ints = _int_halfspaces(family)
     constraints = _axis_quantile_box(ds, tau)
+    ints = _int_halfspaces(constraints)
+    hverts: set[tuple[int, int, int, int]] = set()
+    inside: set[tuple[int, int, int, int]] = set()  # vertices certified deep
+    start = 0
     for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("region construction exceeded its deadline")
-        poly = intersect_halfspaces(constraints, dim=3)
-        if poly.empty:
-            return poly
-        if poly.unbounded:
-            raise RuntimeError("quantile box must bound the region search")
-        new_cuts: list[Halfspace] = []
-        for v in poly.vertices:
-            if _vertex_count(ds, v, counts) >= k:
+        fresh = ints[start:]
+        hverts = {
+            v for v in hverts
+            if all(n0 * v[0] + n1 * v[1] + n2 * v[2] >= c * v[3] for (n0, n1, n2), c in fresh)
+        }
+        hverts |= _plane_triples(ints, start)
+        start = len(ints)
+        for v, (x, y, z, w) in _vertex_order(hverts)[0]:
+            if (x, y, z, w) in inside:
                 continue
-            if any(not h.contains(v) for h in new_cuts):
+            if any(n0 * x + n1 * y + n2 * z < c * w for (n0, n1, n2), c in ints[start:]):
                 continue  # a cut added this round already excludes it
-            for h in family:
-                if not h.contains(v):
-                    constraints.append(h)
-                    new_cuts.append(h)
-                    family.remove(h)
+            for i, ((n0, n1, n2), c) in enumerate(family_ints):
+                if n0 * x + n1 * y + n2 * z < c * w:
+                    constraints.append(family.pop(i))
+                    ints.append(family_ints.pop(i))
                     break
             else:
-                # no certificate excludes a shallow point: the level is
-                # above the maximal depth and the region is empty
-                return _empty_region(3)
-        if not new_cuts:
-            return poly
+                if _vertex_count(ds, v, counts) < k:
+                    # no certificate excludes a shallow point: the level is
+                    # above the maximal depth and the region is empty
+                    return _empty_region(3)
+                inside.add((x, y, z, w))
+        if len(ints) == start:
+            return _polytope_3d(tuple(dedup_halfspaces(constraints)), hverts)
     raise RuntimeError("certificate cutting loop failed to converge")
 
 

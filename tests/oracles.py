@@ -397,15 +397,9 @@ def reference_depth3_int(c0, vecs):
 
     Every arrangement edge recounts the points below it with one dot product
     per point; the witness is rebuilt at every strict improvement.  The 2-D
-    helpers are the package's own.
+    helpers are the package's own, apart from the Fraction cell witness.
     """
-    from halfmed.depth import (
-        _cell_witness_2d,
-        _depth2_counts,
-        _groups_python,
-        _max_window,
-        _vec_rank3,
-    )
+    from halfmed.depth import _depth2_counts, _groups_python, _max_window, _vec_rank3
 
     n_nz = len(vecs)
     if n_nz == 0:
@@ -422,7 +416,7 @@ def reference_depth3_int(c0, vecs):
         mapped = [(_reference_dot3(b1, v), _reference_dot3(bb2, v)) for v in vecs]
         groups, mult = _groups_python(mapped)
         count, anchors = _depth2_counts(c0, groups, mult)
-        s, t = _cell_witness_2d(groups[anchors[0]], groups)
+        s, t = reference_cell_witness_2d(groups[anchors[0]], groups)
         u = tuple(s * a + t * b for a, b in zip(b1, bb2))
         return count, u
 
@@ -461,7 +455,7 @@ def reference_depth3_int(c0, vecs):
         wbest, anchors = _max_window(groups, mult)
         count = c0 + below + (len(zidx) - wbest)
         if best_count is None or count < best_count:
-            s, t = _cell_witness_2d(groups[anchors[0]], groups)
+            s, t = reference_cell_witness_2d(groups[anchors[0]], groups)
             w3 = tuple(s * a + t * b for a, b in zip(bb1, bb2))
             delta = None
             for v in vecs:
@@ -608,3 +602,134 @@ def reference_unbounded_direction_2d(hs):
         if c < 0 or (c == 0 and a[0] * b[0] + a[1] * b[1] < 0):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference 3-D cutting loop: a depth query at every vertex and one full
+# ``intersect_halfspaces`` per round; and the Fraction volume centroid
+
+
+def reference_region_3d_lazy_certificates(ds: DataSet, tau, k: int, counts=None):
+    """The 3-D certificate cutting loop as first written: every vertex of
+    every round gets a depth count, and the family is scanned in Fractions."""
+    from halfmed import regions
+    from halfmed.polytope import intersect_halfspaces
+
+    counts = {} if counts is None else counts
+    family = [c.halfspace for c in regions.enumerate_irrotatable(ds, tau)]
+    constraints = regions._axis_quantile_box(ds, tau)
+    for _ in range(500):
+        poly = intersect_halfspaces(constraints, dim=3)
+        if poly.empty:
+            return poly
+        if poly.unbounded:
+            raise RuntimeError("quantile box must bound the region search")
+        new_cuts = []
+        for v in poly.vertices:
+            if regions._vertex_count(ds, v, counts) >= k:
+                continue
+            if any(not h.contains(v) for h in new_cuts):
+                continue
+            for h in family:
+                if not h.contains(v):
+                    constraints.append(h)
+                    new_cuts.append(h)
+                    family.remove(h)
+                    break
+            else:
+                return regions._empty_region(3)
+        if not new_cuts:
+            return poly
+    raise RuntimeError("certificate cutting loop failed to converge")
+
+
+def reference_polyhedron_centroid(verts, halfspaces):
+    """Volume centroid by Fraction pyramids from the vertex average."""
+    from halfmed.geometry import cross3, dot, vsub
+    from halfmed.polytope import _order_planar_cycle
+
+    vset = set(verts)
+    g = tuple(sum(col, Fraction(0)) / len(verts) for col in zip(*verts))
+    total = Fraction(0)
+    acc = [Fraction(0)] * 3
+    for h in halfspaces:
+        face = [v for v in vset if dot(h.normal, v) == h.offset]
+        if len(face) < 3:
+            continue
+        cycle = _order_planar_cycle(sorted(face))
+        if len(cycle) < 3:
+            continue
+        fc = tuple(sum(col, Fraction(0)) / len(cycle) for col in zip(*cycle))
+        nrm = cross3(vsub(cycle[1], cycle[0]), vsub(cycle[2], cycle[0]))
+        if dot(nrm, vsub(fc, g)) < 0:
+            cycle = list(reversed(cycle))
+        a = cycle[0]
+        for b, c in zip(cycle[1:], cycle[2:]):
+            ea, eb, ec = vsub(a, g), vsub(b, g), vsub(c, g)
+            vol6 = dot(ea, cross3(eb, ec))
+            total += vol6
+            for i in range(3):
+                acc[i] += vol6 * (g[i] + a[i] + b[i] + c[i])
+    if total == 0:
+        return g
+    return tuple(a / (4 * total) for a in acc)
+
+
+# ---------------------------------------------------------------------------
+# reference witness tilts (one Fraction per candidate ratio) and the rank by
+# Gaussian elimination in Fractions
+
+
+def reference_cell_witness_2d(anchor, groups):
+    ax, ay = anchor
+    u0 = (-ay, ax)
+    eps = None
+    for g in groups:
+        du = u0[0] * g[0] + u0[1] * g[1]
+        da = ax * g[0] + ay * g[1]
+        if du != 0 and da != 0:
+            cand = Fraction(abs(du), abs(da))
+            if eps is None or cand < eps:
+                eps = cand
+    if eps is None:
+        return (u0[0] + ax, u0[1] + ay)
+    half = eps / 2
+    return (half.denominator * u0[0] + half.numerator * ax,
+            half.denominator * u0[1] + half.numerator * ay)
+
+
+def reference_edge_witness(vecs, e, bb1, bb2, groups, anchors):
+    s, t = reference_cell_witness_2d(groups[anchors[0]], groups)
+    w3 = tuple(s * a + t * b for a, b in zip(bb1, bb2))
+    delta = None
+    for v in vecs:
+        se = _reference_dot3(e, v)
+        if se == 0:
+            continue
+        sw = _reference_dot3(w3, v)
+        if sw != 0:
+            cand = Fraction(abs(se), abs(sw))
+            if delta is None or cand < delta:
+                delta = cand
+    if delta is None:
+        return tuple(q_e + w for q_e, w in zip(e, w3))
+    half = delta / 2
+    return tuple(half.denominator * ec + half.numerator * wc for ec, wc in zip(e, w3))
+
+
+def reference_matrix_rank(rows) -> int:
+    rows = [[Fraction(c) for c in r] for r in rows if any(c != 0 for c in r)]
+    if not rows:
+        return 0
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / pr[col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        rank += 1
+    return rank

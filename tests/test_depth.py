@@ -7,8 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from halfmed.depth import (
+    _cell_witness_2d,
     _circle_sides,
     _depth3_int,
+    _edge_witness,
+    _groups_python,
+    _max_window,
     _query_vectors,
     approximate_depth,
     depth_count,
@@ -27,7 +31,9 @@ from oracles import (
     oracle_depth_count,
     random_dataset,
     random_probe,
+    reference_cell_witness_2d,
     reference_depth3_int,
+    reference_edge_witness,
 )
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
@@ -391,3 +397,40 @@ class TestSpatialKernelMatchesEdgeReference:
                         continue
                     dots = [sum(a * b for a, b in zip(e, v)) for v in vecs]
                     assert side == (sum(t < 0 for t in dots), sum(t > 0 for t in dots))
+
+
+class TestWitnessTiltsMatchFractionReference:
+    """The tilts found by integer cross-multiplication against one Fraction
+    per candidate ratio."""
+
+    def test_cell_witness_2d(self):
+        rng = random.Random(515)
+        for _ in range(400):
+            vecs = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 9))]
+            vecs = [v for v in vecs if v != (0, 0)] or [(1, 0)]
+            groups, _ = _groups_python(vecs)
+            for anchor in groups:
+                assert _cell_witness_2d(anchor, groups) == reference_cell_witness_2d(anchor, groups)
+
+    def test_edge_witness(self):
+        rng = random.Random(516)
+        cells = 0
+        while cells < 200:
+            vecs = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(3, 9))]
+            vecs = [v for v in vecs if v != (0, 0, 0)]
+            if len(vecs) < 2:
+                continue
+            e = cross3(vecs[0], vecs[1])
+            if e == (0, 0, 0):
+                continue
+            ortho = [v for v in vecs if sum(a * b for a, b in zip(e, v)) == 0]
+            bb1 = ortho[0]
+            bb2 = cross3(e, bb1)
+            groups, mult = _groups_python(
+                [(sum(a * b for a, b in zip(bb1, v)), sum(a * b for a, b in zip(bb2, v)))
+                 for v in ortho]
+            )
+            _, anchors = _max_window(groups, mult)
+            cell = (e, bb1, bb2, groups, anchors)
+            assert _edge_witness(vecs, *cell) == reference_edge_witness(vecs, *cell)
+            cells += 1

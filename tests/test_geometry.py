@@ -21,6 +21,7 @@ from halfmed.geometry import (
     dataset_from_floats,
     halfspace,
     hull_halfspaces,
+    matrix_rank,
     point,
     read_dataset,
     side_of,
@@ -28,7 +29,7 @@ from halfmed.geometry import (
     write_dataset,
 )
 
-from oracles import random_dataset
+from oracles import random_dataset, reference_matrix_rank
 
 
 class TestAsFraction:
@@ -156,6 +157,38 @@ class TestAffineDimension:
         assert affine_dimension(dataset([(0, 0), (2, 0), (1, 1), (1, 1)])) == 2
         assert affine_dimension(dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])) == 2
         assert affine_dimension(dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])) == 3
+
+
+class TestMatrixRank:
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(77)
+        ranks = set()
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+            true_rank = rng.randint(0, min(rows, cols))
+            # a product of random factors has rank at most true_rank, so
+            # rank-deficient matrices are common; entries mix ints and Fractions
+            left = [[rng.randint(-4, 4) for _ in range(true_rank)] for _ in range(rows)]
+            right = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(cols)]
+                     for _ in range(true_rank)]
+            m = [[sum((a * b for a, b in zip(lr, col)), F(0)) for col in zip(*right)]
+                 for lr in left] if true_rank else [[0] * cols for _ in range(rows)]
+            m = [[int(c) if rng.random() < 0.5 and c.denominator == 1 else c for c in r]
+                 for r in m]
+            want = reference_matrix_rank(m)
+            assert matrix_rank(m) == want, m
+            # denominators divide 60, so this is the same matrix on integers
+            assert matrix_rank([[int(c * 60) for c in r] for r in m]) == want
+            ranks.add((want, min(rows, cols)))
+        assert any(r < full for r, full in ranks)
+        assert any(r == full > 0 for r, full in ranks)
+
+    def test_large_integer_entries(self):
+        rng = random.Random(78)
+        for _ in range(50):
+            rows = [[rng.getrandbits(200) - 2**199 for _ in range(4)] for _ in range(3)]
+            rows.append([a + 3 * b for a, b in zip(rows[0], rows[1])])
+            assert matrix_rank(rows) == reference_matrix_rank(rows) == 3
 
 
 class TestConvexHull2D:

@@ -10,6 +10,8 @@ from halfmed.polytope import (
     _hvertex,
     _int_halfspaces,
     _intersect_3d,
+    _plane_triples,
+    _polyhedron_centroid,
     _unbounded_direction_2d,
     barycenter,
     clip_polygon,
@@ -23,6 +25,7 @@ from oracles import (
     random_dataset,
     reference_clip_polygon,
     reference_intersect_3d,
+    reference_polyhedron_centroid,
     reference_unbounded_direction_2d,
 )
 
@@ -243,6 +246,29 @@ class TestIntersect3DMatchesCramerReference:
         assert {None, 2, 3} <= kinds
 
 
+class TestPlaneTriplesIncremental:
+    def test_old_vertices_plus_new_triples_give_every_vertex(self):
+        # a vertex of the grown set either has three independent tight old
+        # planes (an old vertex inside the new planes) or a tight new one
+        rng = random.Random(4343)
+        kinds = set()
+        for _ in range(120):
+            hs, _ = _random_halfspaces_3d(rng)
+            ints = _int_halfspaces(hs)
+            start = rng.randint(1, len(ints) - 1)
+            old = _plane_triples(ints[:start])
+            kept = {
+                v for v in old
+                if all(sum(a * b for a, b in zip(n, v[:3])) >= c * v[3] for n, c in ints[start:])
+            }
+            want = _plane_triples(ints)
+            assert kept | _plane_triples(ints, start) == want, hs
+            assert all(v[3] > 0 and math.gcd(*v) == 1 for v in want)
+            kinds.add((bool(old - kept), bool(want - kept)))
+        # draws where the new planes drop old vertices and add new ones
+        assert (True, True) in kinds
+
+
 class TestClipPolygon:
     def test_square_clipped_by_diagonal(self):
         square = [point((0, 0)), point((1, 0)), point((1, 1)), point((0, 1))]
@@ -372,6 +398,84 @@ class TestBarycenter:
         p = intersect_halfspaces(hs)
         assert len(p.vertices) == 5
         assert vertex_centroid(p) != barycenter(p)
+
+
+class TestPolyhedronCentroid:
+    """The integer volume centroid against the Fraction pyramids."""
+
+    def _box(self, lo, hi):
+        hs = []
+        for i in range(3):
+            e = [0, 0, 0]
+            e[i] = 1
+            hs.append(halfspace(tuple(e), lo[i]))
+            e[i] = -1
+            hs.append(halfspace(tuple(e), -hi[i]))
+        return hs
+
+    def _face_sizes(self, p):
+        return [
+            sum(1 for v in p.vertices if sum(a * b for a, b in zip(h.normal, v)) == h.offset)
+            for h in p.halfspaces
+        ]
+
+    def _check(self, p):
+        got = _polyhedron_centroid(list(p.vertices), p.halfspaces)
+        assert got == reference_polyhedron_centroid(list(p.vertices), p.halfspaces)
+        return got
+
+    def test_cube_and_box(self):
+        assert self._check(intersect_halfspaces(self._box((0, 0, 0), (1, 1, 1)))) == (
+            F(1, 2), F(1, 2), F(1, 2))
+        p = intersect_halfspaces(self._box((F(-1, 3), 2, 0), (1, F(7, 2), F(1, 5))))
+        assert self._check(p) == (F(1, 3), F(11, 4), F(1, 10))
+
+    def test_tetrahedron(self):
+        # vertices 0, (1, 0, 0), (0, 2, 0) and (0, 0, 3); the centroid of a
+        # tetrahedron is its vertex average
+        hs = [halfspace((1, 0, 0), 0), halfspace((0, 1, 0), 0), halfspace((0, 0, 1), 0),
+              halfspace((-6, -3, -2), -6)]
+        p = intersect_halfspaces(hs)
+        assert len(p.vertices) == 4
+        assert self._check(p) == (F(1, 4), F(1, 2), F(3, 4))
+        assert barycenter(p) == vertex_centroid(p)
+
+    def test_random_solid_polytopes_with_polygon_faces(self):
+        rng = random.Random(4545)
+        big_faces = 0
+        solids = 0
+        while solids < 60:
+            hs, _ = _random_halfspaces_3d(rng)
+            p = intersect_halfspaces(hs)
+            if p.empty or p.affine_dim != 3:
+                continue
+            solids += 1
+            c = self._check(p)
+            assert p.contains(c)
+            big_faces += sum(size >= 4 for size in self._face_sizes(p))
+        assert big_faces >= 60
+
+    def test_region_polytopes(self):
+        from halfmed import depth_region
+
+        rng = random.Random(4646)
+        flat = solid = big_faces = 0
+        while solid < 12 or flat < 3 or big_faces < 3:
+            ds = random_dataset(rng, 3, max_n=8, dup_prob=0.3, collinear_prob=0.3,
+                                denom=2, span=2)
+            for k in (1, 2):
+                p = depth_region(ds, F(k, ds.n)).polytope
+                if p.empty or p.affine_dim is None or p.affine_dim < 2:
+                    continue
+                c = self._check(p)
+                if p.affine_dim == 3:
+                    solid += 1
+                    assert c == barycenter(p)
+                    big_faces += max(self._face_sizes(p)) >= 4
+                else:
+                    # no volume: both fall back to the vertex average
+                    flat += 1
+                    assert c == vertex_centroid(p)
 
 
 class TestRegionExport:

@@ -23,12 +23,14 @@ from halfmed import (
     is_irrotatable,
     max_depth,
     median_region,
+    quantile_index,
     sample,
     tukey_depth,
     uniform_ball,
 )
 
 from halfmed import polytope, regions
+from halfmed.depth import depth_count
 from halfmed.regions import _bracketing_criticals_2d, _contact_location
 from oracles import (
     oracle_depth_count,
@@ -40,6 +42,8 @@ from oracles import (
     reference_contact_location,
     reference_enumerate_irrotatable_3d,
     reference_intersect_3d,
+    reference_polyhedron_centroid,
+    reference_region_3d_lazy_certificates,
     reference_region_by_cuts_2d,
 )
 
@@ -409,10 +413,61 @@ class TestCertificatesMatchFractionReference:
                     out.append(repr(depth_region(ds, F(k, ds.n))))
             return out
 
+        def reference_loop(ds, tau, k, deadline, counts):
+            return reference_region_3d_lazy_certificates(ds, tau, k, counts)
+
         got = run()
         monkeypatch.setattr(regions, "enumerate_irrotatable", reference_enumerate_irrotatable_3d)
+        monkeypatch.setattr(regions, "_region_3d_lazy_certificates", reference_loop)
         monkeypatch.setattr(polytope, "_intersect_3d", reference_intersect_3d)
+        monkeypatch.setattr(polytope, "_polyhedron_centroid", reference_polyhedron_centroid)
         assert got == run()
+
+
+def _cutting_loop_3d_sets():
+    """CLUSTER_3D, grid sets with duplicated, collinear and coplanar points,
+    and two sampled ball sets."""
+    sets = [CLUSTER_3D] + _degenerate_3d_sets(2032, 8, 11)
+    sets += [sample(uniform_ball(3), n=9, seed=seed, bits=20) for seed in (1, 2)]
+    return sets
+
+
+class TestCuttingLoop3DMatchesReference:
+    """The 3-D loop, which lets the certificate family decide membership and
+    updates the polytope by its new cuts, against the loop that counts depth
+    at every vertex and re-intersects every constraint in every round."""
+
+    def test_every_level(self):
+        kinds = set()
+        for ds in _cutting_loop_3d_sets():
+            with regions._level_scope(ds, None) as scope:
+                for k in range(1, ds.n + 1):
+                    tau = F(k, ds.n)
+                    got = regions._region_3d_lazy_certificates(ds, tau, k, None, scope["counts"])
+                    want = reference_region_3d_lazy_certificates(ds, tau, k)
+                    assert repr(got) == repr(want), (ds.points, k)
+                    kinds.add("empty" if got.empty else got.affine_dim)
+        assert kinds == {"empty", 0, 1, 2, 3}
+
+    def test_family_excludes_exactly_the_shallow_points(self):
+        rng = random.Random(2033)
+        for ds in _cutting_loop_3d_sets():
+            k_star = int(median_region(ds).lambda_star * ds.n)
+            for k in range(1, k_star + 1):
+                tau = F(k, ds.n)
+                family = [c.halfspace for c in enumerate_irrotatable(ds, tau)]
+                box = polytope.intersect_halfspaces(regions._axis_quantile_box(ds, tau))
+                probes = list(box.vertices) + list(ds.points)
+                for j in (k - 1, k, k + 1):
+                    if 1 <= j <= ds.n:
+                        probes += depth_region(ds, F(j, ds.n)).polytope.vertices
+                probes += [random_probe(rng, ds) for _ in range(10)]
+                shallow = set()
+                for x in probes:
+                    excluded = any(not h.contains(x) for h in family)
+                    assert excluded == (depth_count(x, ds) < k), (ds.points, k, x)
+                    shallow.add(excluded)
+                assert shallow == {True, False}
 
 
 class TestDeadlineAndCallScope:
@@ -432,6 +487,19 @@ class TestDeadlineAndCallScope:
             depth_region(ds, F(1, 4), deadline=time.monotonic() - 1)
         with pytest.raises(TimeoutError):
             median_region(ds, deadline=time.monotonic() - 1)
+
+    def test_expired_deadline_stops_the_cutting_rounds(self):
+        # the plane table is already built in the open scope, so the
+        # timeout comes from the per-round check of the cutting loop
+        ds = dataset(CLUSTER_3D.points)
+        with regions._level_scope(ds, None) as scope:
+            enumerate_irrotatable(ds, F(1, 4))
+            assert scope["planes"] is not None
+            with pytest.raises(TimeoutError):
+                regions._region_3d_lazy_certificates(
+                    ds, F(1, 4), quantile_index(ds.n, F(1, 4)), time.monotonic() - 1,
+                    scope["counts"],
+                )
 
     def test_plane_table_and_counts_do_not_outlive_the_call(self):
         ds = dataset(CLUSTER_3D.points)
