@@ -449,6 +449,15 @@ class TestCuttingLoop3DMatchesReference:
                     kinds.add("empty" if got.empty else got.affine_dim)
         assert kinds == {"empty", 0, 1, 2, 3}
 
+    def test_shallow_vertex_that_no_certificate_excludes_empties_the_level(self, monkeypatch):
+        # the depth count is the loop's guard above the maximal depth: with
+        # no certificates, the box vertices are all that is left to check
+        ds = CLUSTER_3D
+        k = int(median_region(ds).lambda_star * ds.n) + 1
+        monkeypatch.setattr(regions, "enumerate_irrotatable", lambda _ds, _tau: ())
+        got = regions._region_3d_lazy_certificates(ds, F(k, ds.n), k, None, {})
+        assert repr(got) == repr(regions._empty_region(3))
+
     def test_family_excludes_exactly_the_shallow_points(self):
         rng = random.Random(2033)
         for ds in _cutting_loop_3d_sets():
