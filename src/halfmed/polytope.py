@@ -238,7 +238,7 @@ def _intersect_3d(hs: list[Halfspace]) -> Polytope:
         if _feasible(hs, 3):
             return Polytope(base, (), 3, _equality_dim(hs, 3), empty=False, unbounded=True)
         return Polytope(base, (), 3, None, empty=True, unbounded=False)
-    return _polytope_3d(base, _plane_triples(_int_halfspaces(hs)))
+    return _polytope_3d(base, *_vertex_order(_plane_triples(_int_halfspaces(hs))))
 
 
 def _plane_triples(
@@ -261,7 +261,6 @@ def _plane_triples(
         for i in range(m)
     ]
     found: set[tuple[int, int, int, int]] = set()
-    last = 0
     for i in range(m):
         (a0, a1, a2), ci = ints[i]
         cross_i = crosses[i]
@@ -281,16 +280,7 @@ def _plane_triples(
                 x2 = ci * jk2 - cj * ik2 + ck * ij2
                 if det < 0:
                     x0, x1, x2, det = -x0, -x1, -x2, -det
-                # the constraint that cut off the last candidate is tried
-                # first: nearby triples tend to fail on the same one
-                (n0, n1, n2), c = ints[last]
-                if n0 * x0 + n1 * x1 + n2 * x2 < c * det:
-                    continue
-                for idx, ((n0, n1, n2), c) in enumerate(ints):
-                    if n0 * x0 + n1 * x1 + n2 * x2 < c * det:
-                        last = idx
-                        break
-                else:
+                if all(n0 * x0 + n1 * x1 + n2 * x2 >= c * det for (n0, n1, n2), c in ints):
                     g = math.gcd(x0, x1, x2, det)
                     found.add((x0 // g, x1 // g, x2 // g, det // g))
     return found
@@ -311,11 +301,11 @@ def _vertex_order(hverts) -> tuple[list[tuple[Vec, tuple[int, ...]]], int]:
     return pairs, adim
 
 
-def _polytope_3d(base: tuple[Halfspace, ...], hverts) -> Polytope:
-    """The bounded Polytope of ``base`` whose vertices are ``hverts``."""
-    if not hverts:
+def _polytope_3d(base: tuple[Halfspace, ...], pairs, adim: int) -> Polytope:
+    """The bounded Polytope of ``base`` with the ordered vertices and affine
+    dimension that ``_vertex_order`` gives."""
+    if not pairs:
         return Polytope(base, (), 3, None, empty=True, unbounded=False)
-    pairs, adim = _vertex_order(hverts)
     return Polytope(base, tuple(p for p, _ in pairs), 3, adim, empty=False, unbounded=False)
 
 

@@ -648,7 +648,6 @@ def _region_3d_lazy_certificates(
     constraints = _axis_quantile_box(ds, tau)
     ints = _int_halfspaces(constraints)
     hverts: set[tuple[int, int, int, int]] = set()
-    inside: set[tuple[int, int, int, int]] = set()  # vertices certified deep
     start = 0
     for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and time.monotonic() > deadline:
@@ -660,9 +659,10 @@ def _region_3d_lazy_certificates(
         }
         hverts |= _plane_triples(ints, start)
         start = len(ints)
-        for v, (x, y, z, w) in _vertex_order(hverts)[0]:
-            if (x, y, z, w) in inside:
-                continue
+        pairs, adim = _vertex_order(hverts)
+        for v, (x, y, z, w) in pairs:
+            if counts.get(v, -1) >= k:
+                continue  # deep, so inside every certificate
             if any(n0 * x + n1 * y + n2 * z < c * w for (n0, n1, n2), c in ints[start:]):
                 continue  # a cut added this round already excludes it
             for i, ((n0, n1, n2), c) in enumerate(family_ints):
@@ -675,9 +675,8 @@ def _region_3d_lazy_certificates(
                     # no certificate excludes a shallow point: the level is
                     # above the maximal depth and the region is empty
                     return _empty_region(3)
-                inside.add((x, y, z, w))
         if len(ints) == start:
-            return _polytope_3d(tuple(dedup_halfspaces(constraints)), hverts)
+            return _polytope_3d(tuple(dedup_halfspaces(constraints)), pairs, adim)
     raise RuntimeError("certificate cutting loop failed to converge")
 
 
