@@ -637,7 +637,9 @@ def _region_3d_lazy_certificates(
     their intersection is the region.  So a vertex that some certificate
     excludes is cut by the first such one, with no depth query; only a
     vertex that none excludes gets ``_vertex_count`` (``counts`` holds at
-    every level), and a shallow one means the level is empty.
+    every level), and a shallow one means the level is empty.  A vertex
+    already counted at depth k or more lies in every certificate, so it is
+    not scanned.
 
     The polytope is carried through the rounds as homogeneous integer
     vertices: the axis quantile box bounds it, old vertices that satisfy the
