@@ -19,9 +19,12 @@ exact angular sweep:
   the 2-D sweep of the cells around them, in the edge's orthogonal plane;
   in edge order that is a running minimum, a handful of edges per query.
 
-All counting is integer arithmetic on ``DataSet.scaled_ints()``: the query
-is brought onto the same integer scale (``_scaled_query``) and every closed
-halfspace recount goes through ``_split``.
+All counting is integer arithmetic.  The 1-D and 2-D sweeps and the witness
+recount read only the signs of ``Xi - x``, so each row keeps its own scale
+(``DataSet.row_ints()``, ``_row_vectors``): for ``x = a / q`` the vector
+``q nums_i - den_i a`` is a positive multiple of ``Xi - x``.  The 3-D sweep
+builds its witness from the lengths of the difference vectors, so it runs on
+the common scale of ``DataSet.scaled_ints()`` (``_query_vectors``).
 """
 
 from __future__ import annotations
@@ -68,25 +71,22 @@ class DepthResult:
 # integer preparation
 
 
+def _int_point(x: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(q, a)`` with ``x = a / q``, ``q`` the least common multiple of its denominators."""
+    q = math.lcm(*(c.denominator for c in x))
+    return q, tuple(c.numerator * (q // c.denominator) for c in x)
+
+
 def _direction_ints(u: Sequence[Fraction]) -> tuple[int, ...]:
-    den = math.lcm(*(c.denominator for c in u))
-    return tuple(int(c * den) for c in u)
-
-
-def _scaled_query(ds: DataSet, x: Vec) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
-    """``(f, xi, rows)`` with ``Xi - x`` equal to ``(rows[i] * f - xi) / big``.
-
-    ``big`` is the least common multiple of the dataset scale and the
-    denominators of ``x``; ``f = big / scale`` lifts the dataset rows to it.
-    """
-    scale, rows = ds.scaled_ints()
-    big = math.lcm(scale, *(c.denominator for c in x))
-    return big // scale, tuple(int(c * big) for c in x), rows
+    return _int_point(u)[1]
 
 
 def _query_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     """Differences ``Xi - x`` as integer tuples sharing one positive scale."""
-    f, xi, rows = _scaled_query(ds, x)
+    scale, rows = ds.scaled_ints()
+    big = math.lcm(scale, *(c.denominator for c in x))
+    f = big // scale
+    xi = tuple(int(c * big) for c in x)
     c0 = 0
     vecs: list[tuple[int, ...]] = []
     for r in rows:
@@ -96,6 +96,25 @@ def _query_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
         else:
             c0 += 1
     return c0, vecs
+
+
+def _row_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
+    """Zero count and positive multiples ``q nums_i - den_i a`` of the nonzero ``Xi - x``.
+
+    Each row keeps its own scale ``den_i q``, so only the signs and the
+    directions of the vectors mean anything.  For d = 1 and 2 only.
+    """
+    q, a = _int_point(x)
+    rows = ds.row_ints()
+    if len(a) == 1:
+        (a0,) = a
+        vecs = [(q * r0 - den * a0,) for den, (r0,) in rows]
+    else:
+        a0, a1 = a
+        vecs = [(q * r0 - den * a0, q * r1 - den * a1) for den, (r0, r1) in rows]
+    zero = (0,) * len(a)
+    c0 = vecs.count(zero)
+    return c0, [v for v in vecs if v != zero] if c0 else vecs
 
 
 def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
@@ -113,25 +132,41 @@ def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
 
 def _recount(ds: DataSet, x: Vec, u: Vec) -> tuple[int, int]:
     """Points with ``u . Xi <= u . x``, and how many of them have equality."""
-    f, xi, rows = _scaled_query(ds, x)
+    q, a = _int_point(x)
     ui = _direction_ints(u)
-    # u . Xi <= u . x  iff  (-u f) . r >= -(u . xi) on the integer rows
-    cut, boundary = _split(rows, tuple(-c * f for c in ui), -sum(map(operator.mul, ui, xi)))
-    return len(rows) - cut, len(boundary)
+    ua = sum(map(operator.mul, ui, a))
+    below = boundary = 0
+    for den, r in ds.row_ints():
+        # q den_i u . (Xi - x), which has the sign of u . (Xi - x)
+        s = q * sum(map(operator.mul, ui, r)) - den * ua
+        if s <= 0:
+            below += 1
+            if s == 0:
+                boundary += 1
+    return below, boundary
 
 
 # ---------------------------------------------------------------------------
 # planar sweep core
 
 
+def _pseudo_angle(v: Sequence[int]) -> float:
+    """Float in [0, 4) that grows with the angle of ``(v[0], v[1])``, up to rounding."""
+    a, b = v[0], v[1]
+    t = a / (abs(a) + abs(b))
+    return 1 - t if b > 0 or (b == 0 and a > 0) else 3 + t
+
+
 def _groups_python(vecs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
     acc: dict[tuple[int, int], int] = {}
     for a, b in vecs:
         # geometry.primitive inlined: a call per vector slows every 2-D query
-        g = math.gcd(abs(a), abs(b))
+        g = math.gcd(a, b)
         key = (a // g, b // g)
         acc[key] = acc.get(key, 0) + 1
-    keys = sorted(acc, key=functools.cmp_to_key(angular_cmp))
+    # the float pre-sort leaves the exact sort one already-sorted run to check
+    keys = sorted(acc, key=_pseudo_angle)
+    keys.sort(key=functools.cmp_to_key(angular_cmp))
     return keys, [acc[k] for k in keys]
 
 
@@ -224,13 +259,6 @@ def _vec_rank3(vecs: list[tuple[int, int, int]]):
         if dot3(normal, v) != 0:
             return 3, (b1, b2, normal)
     return 2, (b1, b2, normal)
-
-
-def _pseudo_angle(v: Sequence[int]) -> float:
-    """Float in [0, 4) that grows with the angle of ``(v[0], v[1])``, up to rounding."""
-    a, b = v[0], v[1]
-    t = a / (abs(a) + abs(b))
-    return 1 - t if b > 0 or (b == 0 and a > 0) else 3 + t
 
 
 def _circle_sides(d, dirs, weights) -> list:
@@ -408,18 +436,24 @@ def _edge_witness(vecs, e, bb1, bb2, groups, anchors) -> tuple[int, ...]:
 # public depth API
 
 
+def _query_point(x: Sequence[object], ds: DataSet) -> Vec:
+    """``x`` as Fractions, checked against the dataset for an exact depth query."""
+    xt = tuple(as_fraction(c) for c in x)
+    if len(xt) != ds.dim:
+        raise ValueError("query point dimension does not match dataset")
+    if ds.dim > 3:
+        raise ValueError("exact depth supports d <= 3; see approximate_depth")
+    return xt
+
+
 def tukey_depth(x: Sequence[object], ds: DataSet) -> DepthResult:
     """Exact halfspace depth of ``x`` with respect to the dataset (d <= 3)."""
-    xt = tuple(as_fraction(c) for c in x)
+    xt = _query_point(x, ds)
     d = ds.dim
-    if len(xt) != d:
-        raise ValueError("query point dimension does not match dataset")
-    if d > 3:
-        raise ValueError("exact depth supports d <= 3; see approximate_depth")
     n = ds.n
 
     if d == 1:
-        c0, vecs = _query_vectors(ds, xt)
+        c0, vecs = _row_vectors(ds, xt)
         neg = sum(1 for (v,) in vecs if v < 0)
         pos = len(vecs) - neg
         if neg <= pos:
@@ -448,7 +482,7 @@ def tukey_depth(x: Sequence[object], ds: DataSet) -> DepthResult:
 
 def _planar_groups(ds: DataSet, xt: Vec):
     """Angularly sorted difference-direction groups for a planar query."""
-    c0, vecs = _query_vectors(ds, xt)
+    c0, vecs = _row_vectors(ds, xt)
     groups, mult = _groups_python(vecs)
     return c0, groups, mult
 
@@ -463,10 +497,10 @@ def _verify_witness(ds: DataSet, xt: Vec, witness: Vec, count: int) -> None:
 
 def depth_count(x: Sequence[object], ds: DataSet) -> int:
     """Minimum closed-halfspace count, without building a witness."""
-    xt = tuple(as_fraction(c) for c in x)
+    xt = _query_point(x, ds)
     d = ds.dim
     if d == 1:
-        c0, vecs = _query_vectors(ds, xt)
+        c0, vecs = _row_vectors(ds, xt)
         neg = sum(1 for (v,) in vecs if v < 0)
         return c0 + min(neg, len(vecs) - neg)
     if d == 2:
@@ -484,7 +518,7 @@ def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
     Cheaper companion of :func:`tukey_depth` used by the region search: no
     canonicalization, no recount.
     """
-    xt = tuple(as_fraction(c) for c in x)
+    xt = _query_point(x, ds)
     if ds.dim == 2:
         c0, groups, mult = _planar_groups(ds, xt)
         count, anchors = _depth2_counts(c0, groups, mult)
@@ -499,10 +533,10 @@ def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
 
 def optimal_direction_cone(x: Sequence[object], ds: DataSet) -> list[Vec]:
     """One exact witness per maximal cone of depth-minimizing directions."""
-    xt = tuple(as_fraction(c) for c in x)
+    xt = _query_point(x, ds)
     d = ds.dim
     if d == 1:
-        c0, vecs = _query_vectors(ds, xt)
+        c0, vecs = _row_vectors(ds, xt)
         neg = sum(1 for (v,) in vecs if v < 0)
         pos = len(vecs) - neg
         out = []

@@ -260,16 +260,38 @@ class DataSet:
     def dim(self) -> int:
         return len(self.points[0])
 
+    def row_ints(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Per-row integer coordinates ``(den, nums)`` with ``X = nums / den``.
+
+        Cached.  ``den`` is the least common multiple of the row's own
+        denominators, so one row with a long denominator does not lengthen
+        the others.  Kernels that read only the signs of ``Xi - x`` (1-D and
+        2-D depth, the witness recount) use this view.
+        """
+        cached = self._cache.get("rows")
+        if cached is None:
+            cached = []
+            for p in self.points:
+                den = math.lcm(*(c.denominator for c in p))
+                cached.append((den, tuple(c.numerator * (den // c.denominator) for c in p)))
+            self._cache["rows"] = cached
+        return cached
+
     def scaled_ints(self) -> tuple[int, list[tuple[int, ...]]]:
         """Common-denominator integer coordinates ``x = k / scale``.
 
-        Cached; used by the counting kernels so the per-query work is pure
-        integer arithmetic.
+        Cached, and built from :meth:`row_ints`.  Used where projections are
+        compared across rows: 3-D depth, directional quantiles, contact
+        locations, certificate planes and hulls.
         """
         cached = self._cache.get("ints")
         if cached is None:
-            scale = math.lcm(*(c.denominator for p in self.points for c in p))
-            rows = [tuple(int(c * scale) for c in p) for p in self.points]
+            view = self.row_ints()
+            scale = math.lcm(*(den for den, _ in view))
+            rows = [
+                nums if den == scale else tuple(c * (scale // den) for c in nums)
+                for den, nums in view
+            ]
             cached = (scale, rows)
             self._cache["ints"] = cached
         return cached

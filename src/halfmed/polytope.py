@@ -62,17 +62,17 @@ class Polytope:
 
 def dedup_halfspaces(halfspaces: Sequence[Halfspace]) -> list[Halfspace]:
     """Drop exact duplicates and keep only the tightest offset per direction."""
-    best: dict[Vec, tuple[Fraction, Halfspace]] = {}
-    order: list[Vec] = []
-    for h in halfspaces:
-        key, off = h.canonical_key()
+    # primitive integer normal -> (integer offset, its divisor g, halfspace);
+    # on the primitive normal the offset is offset / g
+    best: dict[tuple[int, ...], tuple[int, int, Halfspace]] = {}
+    for h, (normal, offset) in zip(halfspaces, _int_halfspaces(halfspaces)):
+        g = math.gcd(*normal)
+        key = tuple(c // g for c in normal)
         cur = best.get(key)
-        if cur is None:
-            best[key] = (off, h)
-            order.append(key)
-        elif off > cur[0]:  # larger offset is the more restrictive constraint
-            best[key] = (off, h)
-    return [best[k][1] for k in order]
+        # a larger offset is the more restrictive constraint
+        if cur is None or offset * cur[1] > cur[0] * g:
+            best[key] = (offset, g, h)
+    return [h for _, _, h in best.values()]
 
 
 def intersect_halfspaces(halfspaces: Sequence[Halfspace], dim: int | None = None) -> Polytope:
@@ -121,12 +121,13 @@ def _intersect_1d(hs: list[Halfspace]) -> Polytope:
 # shared helpers
 
 
-def _int_halfspaces(hs: list[Halfspace]) -> list[tuple[tuple[int, ...], int]]:
+def _int_halfspaces(hs: Sequence[Halfspace]) -> list[tuple[tuple[int, ...], int]]:
+    """Each halfspace as ``normal . x >= offset`` on integers, scaled by a positive factor."""
     out = []
     for h in hs:
         scale = math.lcm(*(c.denominator for c in (*h.normal, h.offset)))
-        normal = tuple(int(c * scale) for c in h.normal)
-        out.append((normal, int(h.offset * scale)))
+        normal = tuple(c.numerator * (scale // c.denominator) for c in h.normal)
+        out.append((normal, h.offset.numerator * (scale // h.offset.denominator)))
     return out
 
 

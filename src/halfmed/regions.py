@@ -429,28 +429,36 @@ def _region_by_cuts_2d(
     box, clipped by the seed cuts and then by each round's new cuts.
     """
     constraints = _axis_quantile_box(ds, tau)
-    seen_keys = {h.canonical_key() for h in constraints}
+    # a cut is new unless its primitive integer (normal, offset) was seen
+    seen_keys = {primitive((*nv, off)) for nv, off in _int_halfspaces(constraints)}
     # the box is x >= xlo, -x >= -xhi, y >= ylo, -y >= -yhi
     xlo, neg_xhi, ylo, neg_yhi = (h.offset for h in constraints)
     poly = _box_polygon(xlo, -neg_xhi, ylo, -neg_yhi)
     directions: list[Vec] = []
-    fresh: list[Halfspace] = []
+    fresh: list[tuple[tuple[int, ...], int]] = []
+
+    def admit(h: Halfspace) -> bool:
+        ((normal, offset),) = _int_halfspaces([h])
+        key = primitive((*normal, offset))
+        if key in seen_keys:
+            return False
+        seen_keys.add(key)
+        constraints.append(h)
+        fresh.append((normal, offset))
+        return True
+
     for u in seed_directions:
-        h = halfspace(u, directional_quantile(ds, u, tau))
-        if h.canonical_key() not in seen_keys:
-            seen_keys.add(h.canonical_key())
-            constraints.append(h)
+        if admit(halfspace(u, directional_quantile(ds, u, tau))):
             directions.append(u)
-            fresh.append(h)
     certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("region construction exceeded its deadline")
-        for normal, offset in _int_halfspaces(fresh):
+        for normal, offset in fresh:
             poly = _clip(poly, normal, offset)
         if not poly:
             return _polygon_polytope(constraints, poly), directions
-        fresh = []
+        fresh.clear()
         for hv in poly:
             cnt = certified.get(hv)
             u_wit: Vec | None = None
@@ -477,12 +485,8 @@ def _region_by_cuts_2d(
                 qu = directional_quantile(ds, u_wit, tau)
                 cuts.append(halfspace(u_wit, qu))
             for h in cuts:
-                key = h.canonical_key()
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    constraints.append(h)
+                if admit(h):
                     directions.append(h.normal)
-                    fresh.append(h)
         if not fresh:
             return _polygon_polytope(constraints, poly), directions
     raise RuntimeError("cutting-plane region search failed to converge")

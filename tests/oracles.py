@@ -7,6 +7,7 @@ plain Fraction/integer arithmetic and no shared code with the sweep kernels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -733,3 +734,83 @@ def reference_matrix_rank(rows) -> int:
             rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# reference 1-D and 2-D depth on the dataset's common scale: every Xi - x on
+# one integer scale, the gcd of each vector, the exact comparator sort alone,
+# and the closed-halfspace recount on the common-scale rows
+
+
+def _reference_angle_cmp(a, b) -> int:
+    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
+    if ha != hb:
+        return ha - hb
+    c = a[0] * b[1] - a[1] * b[0]
+    return -1 if c > 0 else (1 if c < 0 else 0)
+
+
+def reference_planar_groups(ds: DataSet, x):
+    """``(zero count, groups, multiplicities)`` of a planar query."""
+    zeros, vecs = _diff_vectors(x, ds)
+    acc = {}
+    for a, b in vecs:
+        g = math.gcd(abs(a), abs(b))
+        key = (a // g, b // g)
+        acc[key] = acc.get(key, 0) + 1
+    keys = sorted(acc, key=functools.cmp_to_key(_reference_angle_cmp))
+    return zeros, keys, [acc[k] for k in keys]
+
+
+def reference_recount(ds: DataSet, x, u):
+    """``(#{u . Xi <= u . x}, #{u . Xi == u . x})`` on the common scale."""
+    zeros, vecs = _diff_vectors(x, ds)
+    den = math.lcm(*(Fraction(c).denominator for c in u))
+    ui = [int(Fraction(c) * den) for c in u]
+    dots = [sum(a * b for a, b in zip(ui, v)) for v in vecs]
+    return zeros + sum(1 for s in dots if s <= 0), zeros + sum(1 for s in dots if s == 0)
+
+
+def reference_low_dim_depth(ds: DataSet, x):
+    """``(count, boundary count, raw witness, canonical cone witnesses)`` for d = 1 or 2.
+
+    The raw witness is the integer direction of the first minimizing cell;
+    the cone witnesses are one canonical direction per minimizing cell.
+    """
+    from halfmed.depth import _max_window
+
+    if ds.dim == 1:
+        zeros, vecs = _diff_vectors(x, ds)
+        neg = sum(1 for (v,) in vecs if v < 0)
+        pos = len(vecs) - neg
+        witness = (1,) if neg <= pos else (-1,)
+        cones = [w for w, ok in (((1,), neg <= pos), ((-1,), pos <= neg)) if ok]
+        return zeros + min(neg, pos), zeros, witness, cones
+    zeros, groups, mult = reference_planar_groups(ds, x)
+    if not groups:
+        return zeros, zeros, (1, 0), [(1, 0)]
+    best, anchors = _max_window(groups, mult)
+    cones = []
+    for j in anchors:
+        u = reference_cell_witness_2d(groups[j], groups)
+        s = abs(next(c for c in u if c != 0))
+        cu = tuple(Fraction(c, s) for c in u)
+        if cu not in cones:
+            cones.append(cu)
+    witness = reference_cell_witness_2d(groups[anchors[0]], groups)
+    return zeros + sum(mult) - best, zeros, witness, cones
+
+
+def reference_dedup_halfspaces(halfspaces):
+    """Tightest offset per ``canonical_key`` direction, in first-seen order."""
+    best = {}
+    order = []
+    for h in halfspaces:
+        key, off = h.canonical_key()
+        if key not in best:
+            best[key] = (off, h)
+            order.append(key)
+        elif off > best[key][0]:
+            best[key] = (off, h)
+    return [best[k][1] for k in order]

@@ -13,7 +13,10 @@ from halfmed.depth import (
     _edge_witness,
     _groups_python,
     _max_window,
+    _planar_groups,
+    _pseudo_angle,
     _query_vectors,
+    _recount,
     approximate_depth,
     depth_count,
     directional_quantile,
@@ -34,6 +37,9 @@ from oracles import (
     reference_cell_witness_2d,
     reference_depth3_int,
     reference_edge_witness,
+    reference_low_dim_depth,
+    reference_planar_groups,
+    reference_recount,
 )
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
@@ -434,3 +440,110 @@ class TestWitnessTiltsMatchFractionReference:
             cell = (e, bb1, bb2, groups, anchors)
             assert _edge_witness(vecs, *cell) == reference_edge_witness(vecs, *cell)
             cells += 1
+
+
+def _low_dim_cases():
+    """1-D and 2-D (dataset, query) pairs, most with a long common scale."""
+    rng = random.Random(1996)
+    cases = []
+    # sampled 53-bit data with duplicates and collinear triples: the moved
+    # middle points carry long denominators of their own, and the common
+    # scale runs to about 2,200 bits
+    spec = degenerate_sampler(uniform_ball(2), 0.2, 0.4)
+    for seed in (3, 4):
+        ds = sample(spec, 300, seed, bits=53)
+        queries = [ds.points[i] for i in (0, 7, 150, 299)]
+        queries += [(F(rng.randint(-q, q), q), F(rng.randint(-q, q), q)) for q in (3, 77, 999)]
+        cases += [(ds, x) for x in queries]
+    # one prime denominator per point, so the common scale is their product;
+    # then duplicates and collinear midpoints
+    primes = [p for p in range(3, 1400) if all(p % k for k in range(2, int(p**0.5) + 1))]
+    for dim in (1, 2):
+        pts = [tuple(F(rng.randint(-p, p), p) for _ in range(dim)) for p in primes[:200]]
+        pts += pts[:20]
+        pts += [tuple((a + b) / 2 for a, b in zip(pts[i], pts[i + 1])) for i in range(0, 40, 2)]
+        ds = dataset(pts)
+        queries = [pts[0], pts[205], pts[-1], tuple(F(1, 3 * (j + 1)) for j in range(dim))]
+        queries.append(tuple(F(rng.randint(-997, 997), 997) for _ in range(dim)))
+        cases += [(ds, x) for x in queries]
+    # 1-D samples, and small grids whose queries hit many ties
+    for seed in (5, 6):
+        ds = sample(degenerate_sampler(uniform_ball(1), 0.2, 0.4), 150, seed, bits=53)
+        cases += [(ds, ds.points[11]), (ds, (F(2, 7),)), (ds, (F(-5, 9),))]
+    for _ in range(30):
+        ds = random_dataset(rng, rng.choice([1, 2]), max_n=12, dup_prob=0.3, collinear_prob=0.3)
+        cases += [(ds, random_probe(rng, ds)) for _ in range(2)]
+    cases.append(_near_parallel_case())
+    return cases
+
+
+def _near_parallel_case():
+    """Directions that ``_pseudo_angle`` ties, listed against their angular order."""
+    big = 2**60
+    pts = [(F(big), F(1)), (F(big + 1), F(1)), (F(-big), F(-1)), (F(-big - 1), F(-1))]
+    pts += [(F(1), F(big)), (F(-1), F(-big)), (F(-3), F(2)), (F(0), F(0))]
+    return dataset(pts), (F(0), F(0))
+
+
+class TestLowDimKernelMatchesCommonScaleReference:
+    """Per-row 1-D and 2-D queries against the common-scale path they replaced."""
+
+    def test_planar_groups_match_reference(self):
+        for ds, x in _low_dim_cases():
+            if ds.dim == 2:
+                assert _planar_groups(ds, x) == reference_planar_groups(ds, x)
+
+    def test_near_parallel_case_needs_the_exact_sort(self):
+        ds, x = _near_parallel_case()
+        _, groups, _ = reference_planar_groups(ds, x)
+        first, second = (2**60 + 1, 1), (2**60, 1)
+        assert groups.index(first) + 1 == groups.index(second)
+        assert _pseudo_angle(first) == _pseudo_angle(second)
+        # listed in the data the other way round
+        assert ds.points.index(second) < ds.points.index(first)
+
+    def test_results_match_reference(self):
+        for ds, x in _low_dim_cases():
+            count, boundary, raw, cones = reference_low_dim_depth(ds, x)
+            res = tukey_depth(x, ds)
+            s = abs(next(c for c in raw if c != 0))
+            assert (res.count, res.boundary_count) == (count, boundary)
+            assert res.witness == tuple(F(c, s) for c in raw)
+            assert depth_count(x, ds) == count
+            assert optimal_direction_cone(x, ds) == cones
+            if ds.dim == 2:
+                assert witness_cut(x, ds) == (count, tuple(F(c) for c in raw))
+
+    def test_recount_matches_reference(self):
+        rng = random.Random(307)
+        for ds, x in _low_dim_cases():
+            dirs = [tukey_depth(x, ds).witness]
+            if ds.dim == 2:
+                _, groups, _ = reference_planar_groups(ds, x)
+                # along a group and across it: points on the boundary line
+                for gx, gy in rng.sample(groups, min(3, len(groups))):
+                    dirs += [(F(gx), F(gy)), (F(-gy), F(gx))]
+            else:
+                dirs.append((F(-1),))
+            dirs += [tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in x) for _ in range(2)]
+            for u in dirs:
+                if any(u):
+                    assert _recount(ds, x, u) == reference_recount(ds, x, u)
+
+
+class TestQueryLength:
+    """The exact depth functions reject queries of the wrong length."""
+
+    FUNCS = (tukey_depth, depth_count, witness_cut, optimal_direction_cone)
+
+    @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.__name__)
+    def test_wrong_length_raises(self, func):
+        for x in ((0, 0, 5), (0,)):
+            with pytest.raises(ValueError, match="query point dimension does not match dataset"):
+                func(x, DS_A)
+
+    @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.__name__)
+    def test_above_three_dimensions_raises(self, func):
+        ds = dataset([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
+        with pytest.raises(ValueError, match="exact depth supports d <= 3"):
+            func((0, 0, 0, 0), ds)

@@ -132,10 +132,15 @@ class TestDataSet:
         assert ds.points[1] == ds.points[2]
 
     def test_scaled_ints_exact(self):
-        ds = dataset([(F(1, 2), F(1, 3)), (F(-1, 6), F(2))])
+        ds = dataset([(F(1, 2), F(1, 3)), (F(-1, 6), F(2)), (F(3), F(-4)), (F(5, 7), F(0))])
         scale, rows = ds.scaled_ints()
+        assert scale == 42
         for p, r in zip(ds.points, rows):
             assert all(F(c, scale) == pc for c, pc in zip(r, p))
+
+    def test_row_ints_keep_each_row_on_its_own_denominator(self):
+        ds = dataset([(F(1, 2), F(1, 3)), (F(-1, 6), F(2)), (F(3), F(-4)), (F(5, 7), F(0))])
+        assert ds.row_ints() == [(6, (3, 2)), (6, (-1, 12)), (1, (3, -4)), (7, (5, 0))]
 
     def test_from_floats_snaps(self):
         ds = dataset_from_floats([[0.1, 0.7]], bits=3)

@@ -24,6 +24,7 @@ from halfmed.polytope import (
 from oracles import (
     random_dataset,
     reference_clip_polygon,
+    reference_dedup_halfspaces,
     reference_intersect_3d,
     reference_polyhedron_centroid,
     reference_unbounded_direction_2d,
@@ -48,6 +49,30 @@ class TestDedup:
         # x >= 3 dominates x >= 1 and x >= -1
         assert h.contains((F(3), F(0)))
         assert not h.contains((F(2), F(0)))
+
+    def test_matches_canonical_key_reference(self):
+        rng = random.Random(64)
+        for _ in range(300):
+            d = rng.randint(1, 3)
+            hs = []
+            for _ in range(rng.randint(1, 12)):
+                if hs and rng.random() < 0.5:
+                    # a scaled copy of an earlier normal, with its own offset
+                    h = rng.choice(hs)
+                    s = F(rng.randint(1, 9), rng.randint(1, 9))
+                    off = F(rng.randint(-9, 9), rng.randint(1, 7))
+                    if rng.random() < 0.4:
+                        off = h.offset * s
+                    hs.append(halfspace(tuple(c * s for c in h.normal), off))
+                else:
+                    normal = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
+                    if not any(normal):
+                        normal[0] = F(1)
+                    hs.append(halfspace(normal, F(rng.randint(-9, 9), rng.randint(1, 7))))
+            got = dedup_halfspaces(hs)
+            want = reference_dedup_halfspaces(hs)
+            assert len(got) == len(want)
+            assert all(g is w for g, w in zip(got, want))
 
 
 class TestIntersect1D:
