@@ -105,7 +105,7 @@ def _row_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     directions of the vectors mean anything.  For d = 1 and 2 only.
     """
     q, a = _int_point(x)
-    rows = ds.row_ints()
+    rows = zip(*ds.row_ints())
     if len(a) == 1:
         (a0,) = a
         vecs = [(q * r0 - den * a0,) for den, (r0,) in rows]
@@ -136,7 +136,7 @@ def _recount(ds: DataSet, x: Vec, u: Vec) -> tuple[int, int]:
     ui = _direction_ints(u)
     ua = sum(map(operator.mul, ui, a))
     below = boundary = 0
-    for den, r in ds.row_ints():
+    for den, r in zip(*ds.row_ints()):
         # q den_i u . (Xi - x), which has the sign of u . (Xi - x)
         s = q * sum(map(operator.mul, ui, r)) - den * ua
         if s <= 0:

@@ -260,37 +260,46 @@ class DataSet:
     def dim(self) -> int:
         return len(self.points[0])
 
-    def row_ints(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Per-row integer coordinates ``(den, nums)`` with ``X = nums / den``.
+    def row_ints(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Per-row integer coordinates ``(dens, nums)`` with ``X_i = nums[i] / dens[i]``.
 
-        Cached.  ``den`` is the least common multiple of the row's own
+        Cached.  ``dens[i]`` is the least common multiple of row i's own
         denominators, so one row with a long denominator does not lengthen
         the others.  Kernels that read only the signs of ``Xi - x`` (1-D and
         2-D depth, the witness recount) use this view.
         """
         cached = self._cache.get("rows")
         if cached is None:
-            cached = []
+            dens: list[int] = []
+            nums: list[tuple[int, ...]] = []
             for p in self.points:
                 den = math.lcm(*(c.denominator for c in p))
-                cached.append((den, tuple(c.numerator * (den // c.denominator) for c in p)))
+                dens.append(den)
+                # the view lives as long as the dataset: a coordinate already
+                # on the row's denominator shares its Fraction's numerator
+                nums.append(tuple(
+                    c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
+                    for c in p
+                ))
+            cached = (dens, nums)
             self._cache["rows"] = cached
         return cached
 
     def scaled_ints(self) -> tuple[int, list[tuple[int, ...]]]:
         """Common-denominator integer coordinates ``x = k / scale``.
 
-        Cached, and built from :meth:`row_ints`.  Used where projections are
+        Cached, and built from :meth:`row_ints`, whose rows it shares where
+        a row's denominator is the scale.  Used where projections are
         compared across rows: 3-D depth, directional quantiles, contact
         locations, certificate planes and hulls.
         """
         cached = self._cache.get("ints")
         if cached is None:
-            view = self.row_ints()
-            scale = math.lcm(*(den for den, _ in view))
+            dens, nums = self.row_ints()
+            scale = math.lcm(*dens)
             rows = [
-                nums if den == scale else tuple(c * (scale // den) for c in nums)
-                for den, nums in view
+                r if den == scale else tuple(c * (scale // den) for c in r)
+                for den, r in zip(dens, nums)
             ]
             cached = (scale, rows)
             self._cache["ints"] = cached
