@@ -39,6 +39,7 @@ from .geometry import (
     Vec,
     affine_dimension,
     as_fraction,
+    cross3,
     dataset,
     dot,
     hull_halfspaces,
@@ -128,8 +129,10 @@ class DirectionSearchConfig:
     """Controls the direction search of :func:`upper_bound`.
 
     ``probes`` pseudo-random directions are tried first to hit the exact
-    pinch floor; ``exhaustive`` forces (True) or forbids (False) the exact
-    d=2 critical sweep, with None meaning "sweep when the pinch fails".
+    pinch floor, and a probe that reaches it ends the search.  Otherwise
+    ``exhaustive`` False skips the exact d=2 critical sweep, and True and
+    None both run it: no direction goes below the floor, so a sweep after a
+    pinched probe could not improve the bound.
     """
 
     probes: int = 32
@@ -185,8 +188,16 @@ def _tie_directions_2d(ds: DataSet) -> list[Vec]:
     return out
 
 
-def _angle_sorted(dirs: list[Vec]) -> list[Vec]:
-    return sorted(dirs, key=lambda v: math.atan2(float(v[1]), float(v[0])))
+def _tie_and_arc_directions(ds: DataSet) -> list[Vec]:
+    """The tie directions by angle, then the sum of each neighbouring pair:
+    one representative per arc between them."""
+    ties = sorted(_tie_directions_2d(ds), key=lambda v: math.atan2(float(v[1]), float(v[0])))
+    out = list(ties)
+    for a, b in zip(ties, ties[1:] + ties[:1]):
+        mid = tuple(ac + bc for ac, bc in zip(a, b))
+        if any(c != 0 for c in mid):
+            out.append(mid)
+    return out
 
 
 def upper_bound(
@@ -221,13 +232,7 @@ def upper_bound(
             return UpperBoundResult(lam / (1 + lam), u, lam, True)
 
     if d == 2 and cfg.exhaustive is not False:
-        ties = _angle_sorted(_tie_directions_2d(ds))
-        candidates = list(ties)
-        for a, b in zip(ties, ties[1:] + ties[:1]):
-            mid = tuple(ac + bc for ac, bc in zip(a, b))
-            if any(c != 0 for c in mid):
-                candidates.append(mid)
-        for u in candidates:
+        for u in _tie_and_arc_directions(ds):
             lam = projected_lambda(ds, u)
             if best is None or lam < best:
                 best, best_u = lam, u
@@ -241,11 +246,7 @@ def upper_bound(
         seen: set[tuple] = set()
         diffs = [_primitive(vsub(b, a)) for a, b in itertools.combinations(uniq, 2)]
         for v, w in itertools.combinations(diffs, 2):
-            c = (
-                v[1] * w[2] - v[2] * w[1],
-                v[2] * w[0] - v[0] * w[2],
-                v[0] * w[1] - v[1] * w[0],
-            )
+            c = cross3(v, w)
             if all(x == 0 for x in c):
                 continue
             p = _primitive(c)
@@ -310,9 +311,6 @@ def _exposed_vertices(region: Polytope, proj: DataSet) -> list[Vec]:
         others = [w for w in region.vertices if w != v]
         if not others:
             out.append(v)
-            continue
-        if proj.dim == 1:
-            out.append(v)  # an interval endpoint is supported by its ray
             continue
         for u in optimal_direction_cone(v, proj):
             lo = dot(u, v)
@@ -559,12 +557,7 @@ def exact_breakdown(
     if m_max is None:
         m_max = n
 
-    ties = _angle_sorted(_tie_directions_2d(ds))
-    directions = list(ties)
-    for a, b in zip(ties, ties[1:] + ties[:1]):
-        mid = tuple(ac + bc for ac, bc in zip(a, b))
-        if any(c != 0 for c in mid):
-            directions.append(mid)
+    directions = _tie_and_arc_directions(ds)
     for ax in ((1, 0), (-1, 0), (0, 1), (0, -1)):  # axis-extreme placements
         v = tuple(Fraction(c) for c in ax)
         if v not in directions:

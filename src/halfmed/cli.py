@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     exh = p.add_mutually_exclusive_group()
     exh.add_argument(
         "--exhaustive", dest="exhaustive", action="store_true", default=None,
-        help="force the exact d=2 direction sweep",
+        help="run the exact d=2 direction sweep unless a probe reaches the pinch floor (default)",
     )
     exh.add_argument(
         "--no-exhaustive", dest="exhaustive", action="store_false",

@@ -519,6 +519,8 @@ def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
     canonicalization, no recount.
     """
     xt = _query_point(x, ds)
+    if ds.dim == 1:
+        raise ValueError("witness_cut supports d = 2 or 3; use tukey_depth on 1-D data")
     if ds.dim == 2:
         c0, groups, mult = _planar_groups(ds, xt)
         count, anchors = _depth2_counts(c0, groups, mult)
@@ -678,7 +680,8 @@ def approximate_depth(
     best_count = None
     best_u = None
     for u in net:
-        uf = tuple(as_fraction(snapped) for snapped in np.round(u * (1 << 24)).astype(np.int64).tolist())
+        # Python ints: int64 would overflow on large coordinates
+        uf = tuple(Fraction(round(c)) for c in (u * (1 << 24)).tolist())
         if all(c == 0 for c in uf):
             continue
         cnt, _ = _recount(ds, xt, uf)

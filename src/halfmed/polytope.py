@@ -2,15 +2,18 @@
 
 The intersections arising from depth regions are frequently degenerate —
 segments, single points, or empty sets — so the vertex enumeration never
-assumes full dimensionality.  Vertices are found as solutions of d boundary
-hyperplanes validated against every constraint, entirely in integer
-arithmetic after clearing denominators; a point found this way and satisfying
-all constraints is exactly an extreme point of the intersection.  A cutting
-loop that adds planes to a bounded intersection solves only the plane
-triples with a new plane and keeps the old vertices inside the new ones.
+assumes full dimensionality.  Everything runs on integers after clearing
+denominators.  In 2-D a box polygon is clipped by each halfspace in turn;
+in 3-D the vertices are the solutions of three boundary planes that satisfy
+every constraint, which are exactly the extreme points.  A cutting loop that
+adds planes to a bounded intersection solves only the plane triples with a
+new plane and keeps the old vertices inside the new ones.
 
-Unbounded intersections are detected exactly (recession-cone test) and
-reported with a flag instead of a vertex list.
+``intersect_halfspaces`` intersects inside the box ``[-M, M]^d`` with ``M``
+one more than Cramer's bound on the arrangement's vertices.  So a bounded
+set lies strictly inside the box, and a vertex on the box boundary means
+the set is unbounded; it is then reported with a flag instead of a vertex
+list.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ from __future__ import annotations
 import csv
 import math
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .geometry import (
     Halfspace,
     Vec,
-    affine_dimension,
     convex_hull_2d,
     cross3,
     dot,
@@ -33,7 +35,6 @@ from .geometry import (
     format_rational,
     matrix_rank,
     vsub,
-    _phase_one_feasible,
 )
 
 
@@ -43,8 +44,7 @@ class Polytope:
 
     ``vertices`` lists the extreme points (counter-clockwise in the plane)
     and is empty when the set is empty or unbounded; ``affine_dim`` is None
-    only for unbounded sets whose dimension is not pinned by opposite
-    boundary pairs.
+    only for empty sets.
     """
 
     halfspaces: tuple[Halfspace, ...]
@@ -131,115 +131,58 @@ def _int_halfspaces(hs: Sequence[Halfspace]) -> list[tuple[tuple[int, ...], int]
     return out
 
 
-def _equality_dim(hs: list[Halfspace], d: int) -> int | None:
-    """Ambient dimension minus the rank of opposite boundary pairs.
+def _box_bound(ints: list[tuple[tuple[int, ...], int]], d: int) -> int:
+    """Half-width ``M`` of a box ``[-M, M]^d`` that holds strictly inside it
+    every vertex of the arrangement of the integer rows ``ints``.
 
-    For unbounded sets this pins the affine dimension whenever flatness is
-    forced by explicit opposite halfspaces (the only case producing flat
-    unbounded sets in this codebase); otherwise the full dimension d.
+    A vertex solves d independent boundary rows by Cramer's rule: a nonzero
+    integer determinant over numerators of at most ``d! C N^(d-1)`` in
+    absolute value, with C the largest |offset| and N the largest |normal
+    entry|.  The bound also holds with coordinate planes ``x_j = 0`` among
+    the rows, so every nonempty intersection meets the open box.
     """
-    canon = {h.canonical_key() for h in hs}
-    eq_normals = []
-    for key, off in canon:
-        neg = (tuple(-c for c in key), -off)
-        if neg in canon:
-            eq_normals.append(key)
-    if not eq_normals:
-        return d
-    return d - matrix_rank(eq_normals)
+    c = max(abs(offset) for _, offset in ints)
+    n = max(abs(x) for normal, _ in ints for x in normal)
+    return math.factorial(d) * c * n ** (d - 1) + 1
 
 
-def _feasible(hs: list[Halfspace], d: int) -> bool:
-    """LP feasibility of the intersection (used only for unbounded sets)."""
-    m = len(hs)
-    rows = []
-    rhs = []
-    for i, h in enumerate(hs):
-        row = list(h.normal) + [-c for c in h.normal]
-        row.extend(Fraction(-1) if j == i else Fraction(0) for j in range(m))
-        rows.append(row)
-        rhs.append(h.offset)
-    return _phase_one_feasible(rows, rhs)
+def _boxed(p: Polytope, hverts, m: int) -> Polytope:
+    """The set whose meet with the box ``[-m, m]^d`` is ``p``, with
+    homogeneous vertices ``hverts``.
+
+    A bounded set lies strictly inside the box, so a vertex on the box
+    boundary means the set is unbounded.  It is then reported with no
+    vertices and with the affine dimension of ``p``, which is the set's
+    because the set meets the open box.
+    """
+    if any(m * v[-1] in map(abs, v[:-1]) for v in hverts):
+        return replace(p, vertices=(), unbounded=True)
+    return p
 
 
 # ---------------------------------------------------------------------------
 # d = 2
 
 
-def _unbounded_direction_2d(normals: list[tuple[int, ...]]) -> bool:
-    """Whether the recession cone ``{d : n . d >= 0 for every normal}`` is
-    nonzero.  In the plane a nonzero cone holds ``+-perp(n)`` for some
-    normal n: a line, a halfplane or one of a wedge's edge rays."""
-    for a, b in normals:
-        for d0, d1 in ((-b, a), (b, -a)):
-            if all(n0 * d0 + n1 * d1 >= 0 for n0, n1 in normals):
-                return True
-    return False
-
-
 def _intersect_2d(hs: list[Halfspace]) -> Polytope:
-    base = tuple(hs)
     ints = _int_halfspaces(hs)
-    if _unbounded_direction_2d([n for n, _ in ints]):
-        if _feasible(hs, 2):
-            return Polytope(base, (), 2, _equality_dim(hs, 2), empty=False, unbounded=True)
-        return Polytope(base, (), 2, None, empty=True, unbounded=False)
-
-    m = len(ints)
-    found: set[Vec] = set()
-    for i in range(m):
-        (a0, a1), ca = ints[i]
-        for j in range(i + 1, m):
-            (b0, b1), cb = ints[j]
-            det = a0 * b1 - a1 * b0
-            if det == 0:
-                continue
-            x_num = ca * b1 - cb * a1
-            y_num = a0 * cb - b0 * ca
-            ok = True
-            for (n0, n1), c in ints:
-                lhs = n0 * x_num + n1 * y_num
-                rhs = c * det
-                if (lhs < rhs) if det > 0 else (lhs > rhs):
-                    ok = False
-                    break
-            if ok:
-                found.add((Fraction(x_num, det), Fraction(y_num, det)))
-    if not found:
-        return Polytope(base, (), 2, None, empty=True, unbounded=False)
-    verts = convex_hull_2d(sorted(found))
-    adim = affine_dimension(verts)
-    return Polytope(base, tuple(verts), 2, adim, empty=False, unbounded=False)
+    m = _box_bound(ints, 2)
+    poly = _box_polygon(-m, m, -m, m)
+    for normal, offset in ints:
+        poly = _clip(poly, normal, offset)
+    return _boxed(_polygon_polytope(tuple(hs), poly), poly, m)
 
 
 # ---------------------------------------------------------------------------
 # d = 3
 
 
-def _unbounded_direction_3d(hs: list[Halfspace]) -> bool:
-    ints = _int_halfspaces(hs)
-    normals = [n for n, _ in ints]
-    if matrix_rank(normals) <= 2:
-        return True
-    m = len(normals)
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = cross3(normals[i], normals[j])
-            if w == (0, 0, 0):
-                continue
-            for cand in (w, tuple(-c for c in w)):
-                if all(sum(nc * wc for nc, wc in zip(n, cand)) >= 0 for n in normals):
-                    return True
-    return False
-
-
 def _intersect_3d(hs: list[Halfspace]) -> Polytope:
-    base = tuple(hs)
-    if _unbounded_direction_3d(hs):
-        if _feasible(hs, 3):
-            return Polytope(base, (), 3, _equality_dim(hs, 3), empty=False, unbounded=True)
-        return Polytope(base, (), 3, None, empty=True, unbounded=False)
-    return _polytope_3d(base, *_vertex_order(_plane_triples(_int_halfspaces(hs))))
+    ints = _int_halfspaces(hs)
+    m = _box_bound(ints, 3)
+    box = [(tuple(s * (j == i) for j in range(3)), -m) for i in range(3) for s in (1, -1)]
+    hverts = _plane_triples(ints + box)
+    return _boxed(_polytope_3d(tuple(hs), *_vertex_order(hverts)), hverts, m)
 
 
 def _plane_triples(
@@ -335,7 +278,7 @@ def _order_planar_cycle(verts: list[Vec]) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# incremental polygon clipping (used by the region search in 2-D)
+# incremental polygon clipping (the 2-D intersection and the 2-D region search)
 #
 # A polygon is a list of reduced homogeneous integer vertices ``(x, y, w)``,
 # ``w > 0``, standing for ``(x / w, y / w)``, in ``convex_hull_2d`` order:
@@ -408,9 +351,8 @@ def _clip(poly: list[tuple[int, int, int]], normal: tuple[int, ...], offset: int
     return _canonical_cycle(out)
 
 
-def _polygon_polytope(halfspaces: Sequence[Halfspace], poly) -> Polytope:
-    """The Polytope of ``halfspaces`` whose intersection is ``poly``."""
-    base = tuple(dedup_halfspaces(halfspaces))
+def _polygon_polytope(base: tuple[Halfspace, ...], poly) -> Polytope:
+    """The Polytope of the deduplicated ``base`` whose intersection is ``poly``."""
     if not poly:
         return Polytope(base, (), 2, None, empty=True, unbounded=False)
     verts = tuple(_hpoint(v) for v in poly)

@@ -457,7 +457,7 @@ def _region_by_cuts_2d(
         for normal, offset in fresh:
             poly = _clip(poly, normal, offset)
         if not poly:
-            return _polygon_polytope(constraints, poly), directions
+            return _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly), directions
         fresh.clear()
         for hv in poly:
             cnt = certified.get(hv)
@@ -488,7 +488,7 @@ def _region_by_cuts_2d(
                 if admit(h):
                     directions.append(h.normal)
         if not fresh:
-            return _polygon_polytope(constraints, poly), directions
+            return _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly), directions
     raise RuntimeError("cutting-plane region search failed to converge")
 
 

@@ -325,23 +325,94 @@ def reference_enumerate_irrotatable_3d(ds: DataSet, tau):
     return tuple(out)
 
 
+def reference_feasible(rows):
+    """Whether some x has ``normal . x >= offset`` for every ``(normal,
+    offset)`` row: the phase-one simplex on ``x = x+ - x-`` with one surplus
+    variable per row."""
+    from halfmed.geometry import _phase_one_feasible
+
+    m = len(rows)
+    lp = []
+    for i, (normal, _) in enumerate(rows):
+        row = [Fraction(c) for c in normal] + [-Fraction(c) for c in normal]
+        row.extend(Fraction(-1) if j == i else Fraction(0) for j in range(m))
+        lp.append(row)
+    return _phase_one_feasible(lp, [Fraction(offset) for _, offset in rows])
+
+
+def reference_affine_dim(hs, d):
+    """Affine dimension of a nonempty intersection: d minus the rank of the
+    normals of its implicit equalities.
+
+    Constraint ``a . x >= b`` is not one exactly when some ``(x, t)`` with
+    ``t >= 0`` has ``a_j . x >= b_j t`` for every j and ``a . x >= b t + 1``:
+    for ``t > 0``, ``x / t`` lies strictly inside it; for ``t = 0``, ``x`` is a
+    recession direction that leaves its boundary.
+    """
+    cone = [((*h.normal, -h.offset), 0) for h in hs]
+    cone.append(((0,) * d + (1,), 0))
+    eq = [h.normal for h in hs if not reference_feasible(cone + [((*h.normal, -h.offset), 1)])]
+    return d - reference_matrix_rank(eq)
+
+
+def _reference_unbounded_or_empty(hs, d):
+    """The Polytope of a set known to be unbounded unless it is empty."""
+    from halfmed.polytope import Polytope
+
+    base = tuple(hs)
+    if reference_feasible([(h.normal, h.offset) for h in hs]):
+        return Polytope(base, (), d, reference_affine_dim(hs, d), empty=False, unbounded=True)
+    return Polytope(base, (), d, None, empty=True, unbounded=False)
+
+
+def reference_intersect_2d(hs):
+    """The 2-D intersection with every vertex solved by a pair of boundary
+    lines in Fractions and checked against every constraint."""
+    from halfmed.geometry import affine_dimension, convex_hull_2d
+    from halfmed.polytope import Polytope
+
+    if reference_unbounded_direction_2d(hs):
+        return _reference_unbounded_or_empty(hs, 2)
+    base = tuple(hs)
+    found = set()
+    for g, h in itertools.combinations(hs, 2):
+        (a0, a1), (b0, b1) = g.normal, h.normal
+        det = a0 * b1 - a1 * b0
+        if det == 0:
+            continue
+        v = ((g.offset * b1 - h.offset * a1) / det, (a0 * h.offset - b0 * g.offset) / det)
+        if all(c.contains(v) for c in hs):
+            found.add(v)
+    if not found:
+        return Polytope(base, (), 2, None, empty=True, unbounded=False)
+    verts = convex_hull_2d(sorted(found))
+    return Polytope(base, tuple(verts), 2, affine_dimension(verts), empty=False, unbounded=False)
+
+
+def reference_unbounded_direction_3d(hs):
+    """Whether the recession cone ``{w : n . w >= 0 for every normal n}`` is
+    nonzero: the normals span less than space, or the cone holds an edge
+    direction ``+-(ni x nj)``."""
+    normals = [h.normal for h in hs]
+    if reference_matrix_rank(normals) <= 2:
+        return True
+    for ni, nj in itertools.combinations(normals, 2):
+        w = _reference_cross3(ni, nj)
+        for cand in (w, tuple(-c for c in w)):
+            if any(cand) and all(sum(a * b for a, b in zip(n, cand)) >= 0 for n in normals):
+                return True
+    return False
+
+
 def reference_intersect_3d(hs):
     """The 3-D intersection with every vertex solved by three 3x3 Cramer
     determinants per triple of boundary planes."""
     from halfmed.geometry import affine_dimension
-    from halfmed.polytope import (
-        Polytope,
-        _equality_dim,
-        _feasible,
-        _order_planar_cycle,
-        _unbounded_direction_3d,
-    )
+    from halfmed.polytope import Polytope, _order_planar_cycle
 
     base = tuple(hs)
-    if _unbounded_direction_3d(hs):
-        if _feasible(hs, 3):
-            return Polytope(base, (), 3, _equality_dim(hs, 3), empty=False, unbounded=True)
-        return Polytope(base, (), 3, None, empty=True, unbounded=False)
+    if reference_unbounded_direction_3d(hs):
+        return _reference_unbounded_or_empty(hs, 3)
     ints = []
     for h in hs:
         den = 1
@@ -484,10 +555,9 @@ def reference_depth3_int(c0, vecs):
 
 
 def reference_region_by_cuts_2d(ds: DataSet, tau, k: int, seed_directions=()):
-    """The 2-D cutting loop with one ``intersect_halfspaces`` per round."""
+    """The 2-D cutting loop with one reference intersection per round."""
     from halfmed.depth import directional_quantile, witness_cut
     from halfmed.geometry import halfspace
-    from halfmed.polytope import intersect_halfspaces
     from halfmed.regions import (
         _axis_quantile_box,
         _bracketing_criticals_2d,
@@ -505,7 +575,7 @@ def reference_region_by_cuts_2d(ds: DataSet, tau, k: int, seed_directions=()):
             directions.append(u)
     certified = {}
     for _ in range(500):
-        poly = intersect_halfspaces(constraints, dim=2)
+        poly = reference_intersect_2d(reference_dedup_halfspaces(constraints))
         if poly.empty:
             return poly, directions
         added = False
@@ -607,20 +677,19 @@ def reference_unbounded_direction_2d(hs):
 
 # ---------------------------------------------------------------------------
 # reference 3-D cutting loop: a depth query at every vertex and one full
-# ``intersect_halfspaces`` per round; and the Fraction volume centroid
+# reference intersection per round; and the Fraction volume centroid
 
 
 def reference_region_3d_lazy_certificates(ds: DataSet, tau, k: int, counts=None):
     """The 3-D certificate cutting loop as first written: every vertex of
     every round gets a depth count, and the family is scanned in Fractions."""
     from halfmed import regions
-    from halfmed.polytope import intersect_halfspaces
 
     counts = {} if counts is None else counts
     family = [c.halfspace for c in regions.enumerate_irrotatable(ds, tau)]
     constraints = regions._axis_quantile_box(ds, tau)
     for _ in range(500):
-        poly = intersect_halfspaces(constraints, dim=3)
+        poly = reference_intersect_3d(reference_dedup_halfspaces(constraints))
         if poly.empty:
             return poly
         if poly.unbounded:

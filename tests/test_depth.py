@@ -1,6 +1,7 @@
 """Exact depth kernels against frozen values and the brute-force oracle."""
 
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction as F
 
@@ -244,6 +245,10 @@ class TestWitnessCut:
             q = directional_quantile(ds, u, tau)
             assert sum(uc * xc for uc, xc in zip(u, x)) < q
 
+    def test_one_dimensional_data_raises(self):
+        with pytest.raises(ValueError, match="witness_cut supports d = 2 or 3"):
+            witness_cut((1,), dataset([(0,), (1,), (2,)]))
+
 
 class TestOneDimensionalSummaries:
     def test_max_depth_frozen(self):
@@ -299,6 +304,24 @@ class TestApproximateDepth:
         assert 0 < r.value <= F(1, 2)
         assert r.exact is False
         assert (r.count, r.boundary_count) == _fraction_recount(ds, x, r.witness)
+
+    def test_large_coordinates_snap_exactly(self):
+        # point differences near 2^60, times the 2^24 snapping scale, are
+        # past int64; scaling data and query by 2^60 must change nothing
+        pts = [(0, 0), (3, 1), (1, 4), (-2, 2), (2, -3), (1, 1), (-1, -1)]
+        x = (F(1, 4), F(1, 2))
+        big = 2**60
+        want = approximate_depth(x, dataset(pts), n_directions=16, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = approximate_depth(
+                tuple(c * big for c in x),
+                dataset([(a * big, b * big) for a, b in pts]),
+                n_directions=16,
+                seed=2,
+            )
+        assert (got.count, got.boundary_count, got.witness) == (
+            want.count, want.boundary_count, want.witness)
 
 
 class TestLargeSampleDepth:

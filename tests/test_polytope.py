@@ -9,10 +9,10 @@ from halfmed.polytope import (
     _clip,
     _hvertex,
     _int_halfspaces,
+    _intersect_2d,
     _intersect_3d,
     _plane_triples,
     _polyhedron_centroid,
-    _unbounded_direction_2d,
     barycenter,
     clip_polygon,
     dedup_halfspaces,
@@ -24,7 +24,10 @@ from halfmed.polytope import (
 from oracles import (
     random_dataset,
     reference_clip_polygon,
+    reference_affine_dim,
     reference_dedup_halfspaces,
+    reference_feasible,
+    reference_intersect_2d,
     reference_intersect_3d,
     reference_polyhedron_centroid,
     reference_unbounded_direction_2d,
@@ -271,6 +274,97 @@ class TestIntersect3DMatchesCramerReference:
         assert {None, 2, 3} <= kinds
 
 
+def _random_open_halfspaces(rng, d):
+    """Lines or planes through one point, random ones, opposite copies that
+    pin a flat and rescaled copies, shuffled: sets of every kind, bounded or
+    not, with offsets sometimes scaled by 10^6 or 10^-6."""
+
+    def small_normal():
+        while True:
+            n = tuple(F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(d))
+            if any(n):
+                return n
+
+    apex = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+    hs = []
+    for _ in range(rng.randint(0, 4)):
+        n = small_normal()
+        hs.append(halfspace(n, sum(a * c for a, c in zip(n, apex))))
+    for _ in range(rng.randint(0 if hs else 1, 3)):
+        hs.append(halfspace(small_normal(), F(rng.randint(-6, 3), rng.randint(1, 3))))
+    for _ in range(rng.randint(0, 2)):
+        h = rng.choice(hs)
+        s = F(rng.randint(1, 3), rng.randint(1, 2))
+        shift = F(rng.randint(-2, 2), 3) if rng.random() < 0.3 else 0
+        hs.append(halfspace(tuple(-s * c for c in h.normal), -s * (h.offset + shift)))
+    for _ in range(rng.randint(0, 1)):
+        h = rng.choice(hs)
+        s = F(rng.randint(1, 4), rng.randint(1, 3))
+        hs.append(halfspace(tuple(s * c for c in h.normal), s * h.offset))
+    scale = F(10) ** rng.choice((-6, 0, 0, 6))
+    hs = [halfspace(h.normal, h.offset * scale) for h in hs]
+    rng.shuffle(hs)
+    return hs
+
+
+def _kind(p):
+    return "empty" if p.empty else ("unbounded" if p.unbounded else "bounded", p.affine_dim)
+
+
+class TestIntersect2DMatchesPairReference:
+    def test_random_sets_of_every_kind(self):
+        rng = random.Random(5151)
+        kinds = set()
+        for _ in range(600):
+            hs = _random_open_halfspaces(rng, 2)
+            got = _intersect_2d(hs)
+            assert repr(got) == repr(reference_intersect_2d(hs)), hs
+            deduped = intersect_halfspaces(hs)
+            assert repr(deduped) == repr(reference_intersect_2d(reference_dedup_halfspaces(hs)))
+            kinds.add(_kind(got))
+        assert kinds == {
+            "empty",
+            ("bounded", 0), ("bounded", 1), ("bounded", 2),
+            ("unbounded", 1), ("unbounded", 2),
+        }
+
+
+class TestIntersect3DUnboundedMatchesReference:
+    """Sets with no bounding box against the recession-cone test, the LP and
+    the implicit-equality rank of the reference."""
+
+    def test_random_sets_of_every_kind(self):
+        rng = random.Random(5252)
+        kinds = set()
+        for _ in range(300):
+            hs = _random_open_halfspaces(rng, 3)
+            got = _intersect_3d(hs)
+            assert repr(got) == repr(reference_intersect_3d(hs)), hs
+            kinds.add(_kind(got))
+        assert kinds == {
+            "empty",
+            ("bounded", 0), ("bounded", 1), ("bounded", 2), ("bounded", 3),
+            ("unbounded", 1), ("unbounded", 2), ("unbounded", 3),
+        }
+
+    def test_ray_whose_flatness_no_opposite_pair_shows(self):
+        # {(-1, y, 1) : y >= 1/2}: x = -1 and z = 1 are implied by the six
+        # constraints together, not by two opposite halfspaces
+        hs = [
+            halfspace((-2, 0, -1), -2),
+            halfspace((-2, 2, 2), -3),
+            halfspace((0, 2, 1), 2),
+            halfspace((1, 0, -2), -3),
+            halfspace((0, 0, 1), 1),
+            halfspace((-1, 0, -2), -1),
+        ]
+        p = intersect_halfspaces(hs)
+        assert p.unbounded and not p.empty
+        assert p.affine_dim == 1 == reference_affine_dim(hs, 3)
+        assert p.contains((F(-1), F(1, 2), F(1))) and p.contains((F(-1), F(10**9), F(1)))
+        assert not p.contains((F(-1), F(1, 3), F(1)))
+
+
 class TestPlaneTriplesIncremental:
     def test_old_vertices_plus_new_triples_give_every_vertex(self):
         # a vertex of the grown set either has three independent tight old
@@ -391,8 +485,11 @@ class TestUnboundedTestMatchesFractionReference:
                 for _ in range(rng.randint(0, 3))
             ]
             hs = [halfspace(nv, rng.randint(-3, 3)) for nv in normals]
-            want = reference_unbounded_direction_2d(hs)
-            assert _unbounded_direction_2d([nv for nv, _ in _int_halfspaces(hs)]) == want
+            # an unbounded set has a nonzero recession cone and a point
+            want = reference_unbounded_direction_2d(hs) and reference_feasible(
+                [(h.normal, h.offset) for h in hs]
+            )
+            assert intersect_halfspaces(hs).unbounded == want, hs
             outcomes.add(want)
         assert outcomes == {True, False}
 
