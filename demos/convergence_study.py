@@ -1,6 +1,6 @@
 """Miniature convergence study: breakdown bounds head toward 1/3 as n grows.
 
-Run:  python3 demos/convergence_study.py   (~1 min; CSVs land in demos/out/)
+Run:  python3 demos/convergence_study.py   (a few seconds; CSVs land in demos/out/)
 
 The full-size study (n up to 1600, 20 trials) runs via:
   halfmed convergence --spec <spec-file> --out <dir>

@@ -129,15 +129,14 @@ class DirectionSearchConfig:
     """Controls the direction search of :func:`upper_bound`.
 
     ``probes`` pseudo-random directions are tried first to hit the exact
-    pinch floor, and a probe that reaches it ends the search.  Otherwise
-    ``exhaustive`` False skips the exact d=2 critical sweep, and True and
-    None both run it: no direction goes below the floor, so a sweep after a
-    pinched probe could not improve the bound.
+    pinch floor, and a probe that reaches it ends the search: no direction
+    goes below the floor, so a sweep after it could not improve the bound.
+    Otherwise ``exhaustive`` runs the exact d=2 critical sweep.
     """
 
     probes: int = 32
     seed: int = 0
-    exhaustive: bool | None = None
+    exhaustive: bool = True
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ def upper_bound(
         if lam == floor:
             return UpperBoundResult(lam / (1 + lam), u, lam, True)
 
-    if d == 2 and cfg.exhaustive is not False:
+    if d == 2 and cfg.exhaustive:
         for u in _tie_and_arc_directions(ds):
             lam = projected_lambda(ds, u)
             if best is None or lam < best:

@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=int, default=32, help="random probe directions")
     exh = p.add_mutually_exclusive_group()
     exh.add_argument(
-        "--exhaustive", dest="exhaustive", action="store_true", default=None,
+        "--exhaustive", dest="exhaustive", action="store_true", default=True,
         help="run the exact d=2 direction sweep unless a probe reaches the pinch floor (default)",
     )
     exh.add_argument(

@@ -3,21 +3,27 @@
 The depth of ``x`` is the smallest fraction of sample points contained in a
 closed halfspace whose boundary passes through ``x``.  Because the empirical
 measure takes finitely many values, the infimum over directions is attained
-on one of finitely many combinatorial cells, and the minimum is found by an
-exact angular sweep:
+on one of finitely many combinatorial cells, and one kernel per dimension
+finds the minimum by an exact sweep over the difference vectors ``Xi - x``:
 
-* d = 1: order statistics.
-* d = 2: sort the difference vectors ``Xi - x`` by angle and slide a
-  half-circle window; ties and duplicated points are counted with
+* d = 1: count the signs.
+* d = 2: sort the vectors by angle and slide a half-turn window over them
+  (``_half_turns``); ties and duplicated points are counted with
   multiplicity, never perturbed.
-* d = 3: the candidate normals live on the arrangement of planes
-  ``{u : u . (Xi - x) = 0}``; every minimizing cell touches an edge
-  ``cross(Xi - x, Xj - x)``.  One exact circle sweep per distinct direction
-  ``Xi - x`` (an angular sort of the data seen along it) counts the points
+* d = 3: vectors that span only a line or a plane go to the 1-D or 2-D
+  sweep of their coordinates in an integer basis, and the witness is lifted
+  back.  Otherwise every minimizing cell of the arrangement of planes
+  ``{u : u . (Xi - x) = 0}`` touches an edge ``cross(Xi - x, Xj - x)``.
+  One exact circle sweep per distinct direction ``Xi - x`` (an angular sort
+  of the data seen along it, and the same half-turn pass) counts the points
   strictly below every edge through that direction, O(n^2 log n) in all.
   Only edges whose count can still beat the best one get an O(n) pass and
   the 2-D sweep of the cells around them, in the edge's orthogonal plane;
   in edge order that is a running minimum, a handful of edges per query.
+
+``tukey_depth``, ``depth_count``, ``witness_cut`` and
+``optimal_direction_cone`` are views of the kernel's count, zero count and
+minimizing-cell witnesses.
 
 All counting is integer arithmetic.  The 1-D and 2-D sweeps and the witness
 recount read only the signs of ``Xi - x``, so each row keeps its own scale
@@ -32,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -170,38 +177,52 @@ def _groups_python(vecs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int
     return keys, [acc[k] for k in keys]
 
 
-def _window_in(anchor: tuple[int, int], w: tuple[int, int]) -> bool:
-    """Angle of w lies in the half-open half-circle [anchor, anchor + pi)."""
-    cross = anchor[0] * w[1] - anchor[1] * w[0]
-    if cross > 0:
-        return True
-    if cross < 0:
-        return False
-    return anchor[0] * w[0] + anchor[1] * w[1] > 0
+def _half_turns(groups: list[tuple[int, int]], mult: list[int]) -> tuple[list[int], list[int]]:
+    """Per group, the weight of its half-open half-turn and of its antipode.
+
+    ``groups`` are distinct primitive directions in angular order.  Entry j
+    of the first list is the weight of the directions in ``[groups[j],
+    groups[j] + pi)``, of the second the weight exactly a half-turn away.
+    One two-pointer pass: the far end of the window only moves forward.
+    """
+    m = len(groups)
+    ring, wring = groups + groups, mult + mult
+    window = [0] * m
+    anti = [0] * m
+    r = 0
+    cnt = 0
+    for j, (ax, ay) in enumerate(groups):
+        # cnt is the weight of ring[j + 1 : r], strictly counter-clockwise
+        # of ring[j] and less than a half-turn away
+        if r <= j:
+            r = j + 1
+            cnt = 0
+        while r < j + m:
+            bx, by = ring[r]
+            c = ax * by - ay * bx
+            if c <= 0:
+                if c == 0:
+                    anti[j] = wring[r]
+                break
+            cnt += wring[r]
+            r += 1
+        window[j] = mult[j] + cnt
+        if r > j + 1:
+            cnt -= wring[j + 1]
+    return window, anti
 
 
 def _max_window(groups: list[tuple[int, int]], mult: list[int]) -> tuple[int, list[int]]:
-    """Largest multiplicity in a half-open angular window, with all anchors."""
-    m = len(groups)
-    if m == 1:
-        return mult[0], [0]
+    """Largest weight in a half-open half-turn, with all the groups that start one."""
+    window, _ = _half_turns(groups, mult)
     best = -1
     anchors: list[int] = []
-    r = 0
-    cnt = 0
-    for j in range(m):
-        if r < j:
-            r = j
-            cnt = 0
-        while r < j + m and _window_in(groups[j], groups[r % m]):
-            cnt += mult[r % m]
-            r += 1
-        if cnt > best:
-            best = cnt
+    for j, w in enumerate(window):
+        if w > best:
+            best = w
             anchors = [j]
-        elif cnt == best:
+        elif w == best:
             anchors.append(j)
-        cnt -= mult[j]
     return best, anchors
 
 
@@ -230,12 +251,34 @@ def _cell_witness_2d(anchor: tuple[int, int], groups: list[tuple[int, int]]) -> 
     return (q * u0[0] + p * ax, q * u0[1] + p * ay)
 
 
-def _depth2_counts(c0: int, groups: list[tuple[int, int]], mult: list[int]) -> tuple[int, list[int]]:
-    n_nz = sum(mult)
-    if not groups:
-        return c0, []
+# ---------------------------------------------------------------------------
+# the sweeps: the minimum count over closed halfspaces whose boundary passes
+# through the origin, for nonzero integer vectors and c0 zero vectors
+
+
+def _sweep1(c0: int, vecs: list[tuple[int]]) -> tuple[int, tuple[tuple[int], ...]]:
+    """Count and the witnesses, ``(1,)`` and/or ``(-1,)``, of the smaller sides."""
+    neg = sum(1 for (v,) in vecs if v < 0)
+    pos = len(vecs) - neg
+    if neg < pos:
+        return c0 + neg, ((1,),)
+    if pos < neg:
+        return c0 + pos, ((-1,),)
+    return c0 + neg, ((1,), (-1,))
+
+
+def _sweep2(c0: int, vecs: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """Count, angular groups, and the anchors of the minimizing cells.
+
+    The witness ``u = _cell_witness_2d(groups[j], groups)`` of the cell
+    anchored at group j has ``u . v > 0`` exactly on the half-open half-turn
+    ``[groups[j], groups[j] + pi)``, so ``{v : u . v <= 0}`` holds the rest.
+    """
+    if not vecs:
+        return c0, [], []
+    groups, mult = _groups_python(vecs)
     best, anchors = _max_window(groups, mult)
-    return c0 + n_nz - best, anchors
+    return c0 + len(vecs) - best, groups, anchors
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +286,20 @@ def _depth2_counts(c0: int, groups: list[tuple[int, int]], mult: list[int]) -> t
 
 
 def _vec_rank3(vecs: list[tuple[int, int, int]]):
-    """(rank, basis info) of a list of nonzero integer 3-vectors."""
+    """``(rank, b1, normal)`` of nonzero integer 3-vectors: ``b1 = vecs[0]``,
+    and ``normal`` its cross product with the first vector off its line (None
+    at rank 1)."""
     b1 = vecs[0]
-    normal = None
-    b2 = None
     for v in vecs[1:]:
-        c = cross3(b1, v)
-        if c != (0, 0, 0):
-            b2 = v
-            normal = c
-            break
-    if normal is None:
-        return 1, (b1, None, None)
-    for v in vecs:
-        if dot3(normal, v) != 0:
-            return 3, (b1, b2, normal)
-    return 2, (b1, b2, normal)
+        normal = cross3(b1, v)
+        if normal != (0, 0, 0):
+            return (3 if any(dot3(normal, w) for w in vecs) else 2), b1, normal
+    return 1, b1, None
+
+
+def _lift(w: Sequence[int], basis: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The vector ``sum(w[i] * basis[i])``: a witness in the coordinates of ``basis``, in space."""
+    return tuple(sum(map(operator.mul, w, col)) for col in zip(*basis))
 
 
 def _circle_sides(d, dirs, weights) -> list:
@@ -268,7 +309,7 @@ def _circle_sides(d, dirs, weights) -> list:
     with ``e . v < 0`` and ``left`` that of those with ``e . v > 0``.  In the
     integer basis ``(p, d x p)`` of ``d``-perp, ``sign(e . v)`` is the sign of
     the planar cross product of the projections of ``dirs[k]`` and ``v``, so
-    one angular sort and one two-pointer pass give every ``k`` at once.
+    one angular sort and one half-turn pass give every ``k`` at once.
     Entries for ``dirs[k]`` parallel to ``d`` are None.
     """
     x, y, z = d
@@ -301,32 +342,12 @@ def _circle_sides(d, dirs, weights) -> list:
             mult.append(w)
             members.append([k])
     total = sum(mult)
-    m = len(groups)
-    ring, wring = groups + groups, mult + mult
+    window, anti = _half_turns(groups, mult)
     sides: list = [None] * len(dirs)
-    r = 0
-    cnt = 0
-    for j in range(m):
-        # cnt is the weight of ring[j + 1 : r], strictly counter-clockwise
-        # of ring[j] and less than a half-turn away
-        if r <= j:
-            r = j + 1
-            cnt = 0
-        ax, ay = ring[j]
-        c = 1
-        while r < j + m:
-            bx, by = ring[r]
-            c = ax * by - ay * bx
-            if c <= 0:
-                break
-            cnt += wring[r]
-            r += 1
-        anti = wring[r] if c == 0 else 0
-        side = (total - cnt - wring[j] - anti, cnt)
-        for k in members[j]:
+    for j, ks in enumerate(members):
+        side = (total - window[j] - anti[j], window[j] - mult[j])
+        for k in ks:
             sides[k] = side
-        if r > j + 1:
-            cnt -= wring[j + 1]
     return sides
 
 
@@ -338,37 +359,24 @@ def _depth3_int(
     Only the count is computed eagerly; calling the returned function builds
     the witness direction.
     """
-    n_nz = len(vecs)
-    if n_nz == 0:
+    if not vecs:
         return c0, lambda: (1, 0, 0)
-    rank, (b1, b2, normal) = _vec_rank3(vecs)
+    rank, b1, normal = _vec_rank3(vecs)
 
+    # rank 1 or 2: the vectors span a line or a plane, and the 1-D or 2-D
+    # sweep of their coordinates in an integer basis of it gives the depth
     if rank == 1:
-        pos = sum(1 for v in vecs if dot3(b1, v) > 0)
-        neg = n_nz - pos
-        # u = +-b1 puts the smaller side at or below the boundary
-        u = b1 if neg <= pos else tuple(-c for c in b1)
-        return c0 + min(neg, pos), lambda: u
-
+        count, sides = _sweep1(c0, [(dot3(b1, v),) for v in vecs])
+        return count, lambda: _lift(sides[0], (b1,))
     if rank == 2:
         bb2 = cross3(normal, b1)
-        mapped = [(dot3(b1, v), dot3(bb2, v)) for v in vecs]
-        groups, mult = _groups_python(mapped)
-        count, anchors = _depth2_counts(c0, groups, mult)
-
-        def planar_witness():
-            s, t = _cell_witness_2d(groups[anchors[0]], groups)
-            return tuple(s * a + t * b for a, b in zip(b1, bb2))
-
-        return count, planar_witness
+        count, groups, anchors = _sweep2(c0, [(dot3(b1, v), dot3(bb2, v)) for v in vecs])
+        return count, lambda: _lift(_cell_witness_2d(groups[anchors[0]], groups), (b1, bb2))
 
     # rank 3: every minimizing cell touches an arrangement edge e; the points
     # strictly below e come from one circle sweep per data direction, and
-    # only edges that can still beat the best count get the 2-D sub-sweep
-    weight: dict[tuple[int, ...], int] = {}
-    for v in vecs:
-        key = primitive(v)
-        weight[key] = weight.get(key, 0) + 1
+    # only edges that can still beat the best count get the 2-D sweep
+    weight = Counter(map(primitive, vecs))
     dirs = list(weight)
     weights = list(weight.values())
     edges: set[tuple[int, ...]] = set()
@@ -401,10 +409,7 @@ def _depth3_int(
         ortho = [v for v in vecs if e0 * v[0] + e1 * v[1] + e2 * v[2] == 0]
         bb1 = ortho[0]
         bb2 = cross3(e, bb1)
-        mapped = [(dot3(bb1, v), dot3(bb2, v)) for v in ortho]
-        groups, mult = _groups_python(mapped)
-        wbest, anchors = _max_window(groups, mult)
-        count = c0 + b + (len(ortho) - wbest)
+        count, groups, anchors = _sweep2(c0 + b, [(dot3(bb1, v), dot3(bb2, v)) for v in ortho])
         if best_count is None or count < best_count:
             best_count = count
             best_cell = (e, bb1, bb2, groups, anchors)
@@ -415,8 +420,7 @@ def _depth3_int(
 
 def _edge_witness(vecs, e, bb1, bb2, groups, anchors) -> tuple[int, ...]:
     """Exact direction inside the best cell next to the arrangement edge ``e``."""
-    s, t = _cell_witness_2d(groups[anchors[0]], groups)
-    w3 = tuple(s * a + t * b for a, b in zip(bb1, bb2))
+    w3 = _lift(_cell_witness_2d(groups[anchors[0]], groups), (bb1, bb2))
     # delta = dn / dd, the smallest |e . v| / |w3 . v|, by cross-multiplying
     dn = dd = 0
     for v in vecs:
@@ -433,6 +437,51 @@ def _edge_witness(vecs, e, bb1, bb2, groups, anchors) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the kernels: one per dimension, each giving ``(count, zero count, cells,
+# witness)`` for a query, where ``witness(cells, i)`` is the exact witness
+# direction of the i-th minimizing cell and None past the last one
+
+
+def _side_witness(sides: tuple[tuple[int], ...], i: int) -> Vec | None:
+    return tuple(map(Fraction, sides[i])) if i < len(sides) else None
+
+
+def _anchor_witness(cells: tuple[list[tuple[int, int]], list[int]], i: int) -> Vec | None:
+    groups, anchors = cells
+    if not groups:
+        return (Fraction(1), Fraction(0)) if i == 0 else None
+    if i >= len(anchors):
+        return None
+    u = _cell_witness_2d(groups[anchors[i]], groups)
+    return (Fraction(u[0]), Fraction(u[1]))
+
+
+def _lifted_witness(lift: Callable[[], tuple[int, ...]], i: int) -> Vec | None:
+    return tuple(map(Fraction, lift())) if i == 0 else None
+
+
+def _depth1(ds: DataSet, xt: Vec):
+    c0, vecs = _row_vectors(ds, xt)
+    count, sides = _sweep1(c0, vecs)
+    return count, c0, sides, _side_witness
+
+
+def _depth2(ds: DataSet, xt: Vec):
+    c0, vecs = _row_vectors(ds, xt)
+    count, groups, anchors = _sweep2(c0, vecs)
+    return count, c0, (groups, anchors), _anchor_witness
+
+
+def _depth3(ds: DataSet, xt: Vec):
+    c0, vecs = _query_vectors(ds, xt)
+    count, lift = _depth3_int(c0, vecs)
+    return count, c0, lift, _lifted_witness
+
+
+_KERNELS = {1: _depth1, 2: _depth2, 3: _depth3}
+
+
+# ---------------------------------------------------------------------------
 # public depth API
 
 
@@ -444,40 +493,6 @@ def _query_point(x: Sequence[object], ds: DataSet) -> Vec:
     if ds.dim > 3:
         raise ValueError("exact depth supports d <= 3; see approximate_depth")
     return xt
-
-
-def tukey_depth(x: Sequence[object], ds: DataSet) -> DepthResult:
-    """Exact halfspace depth of ``x`` with respect to the dataset (d <= 3)."""
-    xt = _query_point(x, ds)
-    d = ds.dim
-    n = ds.n
-
-    if d == 1:
-        c0, vecs = _row_vectors(ds, xt)
-        neg = sum(1 for (v,) in vecs if v < 0)
-        pos = len(vecs) - neg
-        if neg <= pos:
-            count, witness = c0 + neg, (Fraction(1),)
-        else:
-            count, witness = c0 + pos, (Fraction(-1),)
-        return DepthResult(Fraction(count, n), count, n, witness, c0)
-
-    if d == 2:
-        c0, groups, mult = _planar_groups(ds, xt)
-        count, anchors = _depth2_counts(c0, groups, mult)
-        if groups:
-            u = _cell_witness_2d(groups[anchors[0]], groups)
-            witness = canonical_direction((Fraction(u[0]), Fraction(u[1])))
-        else:
-            witness = (Fraction(1), Fraction(0))
-        _verify_witness(ds, xt, witness, count)
-        return DepthResult(Fraction(count, n), count, n, witness, c0)
-
-    c0, vecs = _query_vectors(ds, xt)
-    count, lift = _depth3_int(c0, vecs)
-    witness = canonical_direction(tuple(Fraction(c) for c in lift()))
-    _verify_witness(ds, xt, witness, count)
-    return DepthResult(Fraction(count, n), count, n, witness, c0)
 
 
 def _planar_groups(ds: DataSet, xt: Vec):
@@ -495,21 +510,20 @@ def _verify_witness(ds: DataSet, xt: Vec, witness: Vec, count: int) -> None:
         )
 
 
+def tukey_depth(x: Sequence[object], ds: DataSet) -> DepthResult:
+    """Exact halfspace depth of ``x`` with respect to the dataset (d <= 3)."""
+    xt = _query_point(x, ds)
+    count, c0, cells, witness = _KERNELS[ds.dim](ds, xt)
+    u = canonical_direction(witness(cells, 0))
+    if ds.dim > 1:
+        _verify_witness(ds, xt, u, count)
+    return DepthResult(Fraction(count, ds.n), count, ds.n, u, c0)
+
+
 def depth_count(x: Sequence[object], ds: DataSet) -> int:
     """Minimum closed-halfspace count, without building a witness."""
     xt = _query_point(x, ds)
-    d = ds.dim
-    if d == 1:
-        c0, vecs = _row_vectors(ds, xt)
-        neg = sum(1 for (v,) in vecs if v < 0)
-        return c0 + min(neg, len(vecs) - neg)
-    if d == 2:
-        c0, groups, mult = _planar_groups(ds, xt)
-        count, _ = _depth2_counts(c0, groups, mult)
-        return count
-    c0, vecs = _query_vectors(ds, xt)
-    count, _ = _depth3_int(c0, vecs)
-    return count
+    return _KERNELS[ds.dim](ds, xt)[0]
 
 
 def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
@@ -521,49 +535,27 @@ def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
     xt = _query_point(x, ds)
     if ds.dim == 1:
         raise ValueError("witness_cut supports d = 2 or 3; use tukey_depth on 1-D data")
-    if ds.dim == 2:
-        c0, groups, mult = _planar_groups(ds, xt)
-        count, anchors = _depth2_counts(c0, groups, mult)
-        if not groups:
-            return count, (Fraction(1), Fraction(0))
-        u = _cell_witness_2d(groups[anchors[0]], groups)
-        return count, (Fraction(u[0]), Fraction(u[1]))
-    c0, vecs = _query_vectors(ds, xt)
-    count, lift = _depth3_int(c0, vecs)
-    return count, tuple(Fraction(c) for c in lift())
+    count, _, cells, witness = _KERNELS[ds.dim](ds, xt)
+    return count, witness(cells, 0)
 
 
 def optimal_direction_cone(x: Sequence[object], ds: DataSet) -> list[Vec]:
-    """One exact witness per maximal cone of depth-minimizing directions."""
+    """One exact witness per maximal cone of depth-minimizing directions.
+
+    In space the edge sweep gives one representative, from its best cell.
+    """
     xt = _query_point(x, ds)
-    d = ds.dim
-    if d == 1:
-        c0, vecs = _row_vectors(ds, xt)
-        neg = sum(1 for (v,) in vecs if v < 0)
-        pos = len(vecs) - neg
-        out = []
-        if neg <= pos:
-            out.append((Fraction(1),))
-        if pos <= neg:
-            out.append((Fraction(-1),))
-        return out
-    if d == 2:
-        c0, groups, mult = _planar_groups(ds, xt)
-        if not groups:
-            return [(Fraction(1), Fraction(0))]
-        _, anchors = _depth2_counts(c0, groups, mult)
-        cones = []
-        seen = set()
-        for j in anchors:
-            u = _cell_witness_2d(groups[j], groups)
-            cu = canonical_direction((Fraction(u[0]), Fraction(u[1])))
-            if cu not in seen:
-                seen.add(cu)
-                cones.append(cu)
-        return cones
-    # d = 3: a single representative from the best cell of the edge sweep
-    res = tukey_depth(xt, ds)
-    return [res.witness]
+    count, _, cells, witness = _KERNELS[ds.dim](ds, xt)
+    cones: list[Vec] = []
+    i = 0
+    while (u := witness(cells, i)) is not None:
+        cu = canonical_direction(u)
+        if cu not in cones:
+            cones.append(cu)
+        i += 1
+    if ds.dim == 3:
+        _verify_witness(ds, xt, cones[0], count)
+    return cones
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +574,8 @@ def directional_quantile(ds: DataSet, u: Sequence[object], tau: object) -> Fract
     if not (0 < tau <= 1):
         raise ValueError("tau must lie in (0, 1]")
     ut = tuple(as_fraction(c) for c in u)
+    if len(ut) != ds.dim:
+        raise ValueError("direction dimension does not match dataset")
     if all(c == 0 for c in ut):
         raise ValueError("direction must be nonzero")
     k = quantile_index(ds.n, tau)
@@ -667,6 +661,8 @@ def approximate_depth(
     """
     xt = tuple(as_fraction(c) for c in x)
     d = ds.dim
+    if len(xt) != d:
+        raise ValueError("query point dimension does not match dataset")
     n = ds.n
     rng = np.random.Generator(np.random.Philox(key=seed))
     net = direction_net(d, n_directions, rng=rng)

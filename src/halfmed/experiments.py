@@ -282,9 +282,7 @@ def run_convergence(cfg: ExperimentConfig, theta0=None) -> ConvergenceResult:
     aborted = False
     counter = 0
     for n in cfg.n_schedule:
-        search = cfg.search or DirectionSearchConfig(
-            seed=cfg.seed, exhaustive=(True if n <= 64 else False)
-        )
+        search = cfg.search or DirectionSearchConfig(seed=cfg.seed, exhaustive=n <= 64)
         for trial in range(cfg.trials):
             counter += 1
             ds = _sample_full_dim(

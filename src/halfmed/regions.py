@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,8 +205,8 @@ _SCOPE = "level_scope"
 def _level_scope(ds: DataSet, deadline: float | None):
     """Share the level-independent work of one region or median call.
 
-    While open, ``ds._cache`` holds the 3-D candidate plane table (built on
-    first use, under ``deadline``) and a vertex -> ``depth_count`` dict,
+    While open, ``ds._cache`` holds the candidate line or plane table (built
+    on first use, under ``deadline``) and a vertex -> ``depth_count`` dict,
     both valid at every level.  Nested calls join the open scope; leaving
     the outermost one drops both, so neither outlives the call.
     """
@@ -229,38 +230,51 @@ def _vertex_count(ds: DataSet, v: Vec, counts: dict[Vec, int]) -> int:
     return cnt
 
 
-def _plane_table(ds: DataSet, deadline: float | None):
-    """Every candidate plane of the 3-D enumeration, with its level-free data.
-
-    Candidates are the planes through triples of distinct locations (sorted,
-    ``itertools.combinations`` order), each as ``u`` and then ``-u``, where
-    ``u`` is the cross product of the triple's differences; a plane already
-    met is skipped, keyed by its primitive normal and offset.  Each entry is
-    ``(halfspace, cut count, boundary indices, sweep records)``; both
-    orientations share boundary and records.  The halfspace holds the very
-    Fractions ``u / scale**2`` and ``u . a / scale**3`` of the data points.
-    """
-    scale, rows = ds.scaled_ints()
-    s2, s3 = scale**2, scale**3
-    n = len(rows)
-    seen: set = set()
-    table = []
-    for a, b, c in itertools.combinations(sorted(set(rows)), 3):
+def _candidate_planes(rows: list[tuple[int, ...]]):
+    """``(u, u . a, p, p . a)`` per line (d=2) or plane (d=3) through sorted
+    distinct locations ``a, b(, c)``: ``u`` is ``perp(b - a)`` or
+    ``(b - a) x (c - a)``, and ``p`` its primitive multiple."""
+    locs = sorted(set(rows))
+    if len(locs[0]) == 2:
+        for (a0, a1), (b0, b1) in itertools.combinations(locs, 2):
+            u = (a1 - b1, b0 - a0)
+            p = primitive(u)
+            yield u, u[0] * a0 + u[1] * a1, p, p[0] * a0 + p[1] * a1
+        return
+    for a, b, c in itertools.combinations(locs, 3):
         u = cross3(vsub(b, a), vsub(c, a))
         if u == (0, 0, 0):
             continue
         p = primitive(u)
-        off = p[0] * a[0] + p[1] * a[1] + p[2] * a[2]
+        yield (u, u[0] * a[0] + u[1] * a[1] + u[2] * a[2],
+               p, p[0] * a[0] + p[1] * a[1] + p[2] * a[2])
+
+
+def _plane_table(ds: DataSet, deadline: float | None):
+    """Every candidate line (d=2) or plane (d=3) with its level-free data.
+
+    Candidates come from ``_candidate_planes``, each as ``u`` and then
+    ``-u``; one already met is skipped, keyed by its primitive normal and
+    offset.  Each entry is ``(halfspace, cut count, boundary indices, sweep
+    records)``; both orientations share boundary and records.  The halfspace
+    holds the very Fractions ``u / scale**(d-1)`` and ``u . a / scale**d``.
+    """
+    scale, rows = ds.scaled_ints()
+    d = ds.dim
+    sn, so = scale ** (d - 1), scale**d
+    n = len(rows)
+    seen: set = set()
+    table = []
+    for u, uoff, p, off in _candidate_planes(rows):
         if (p, off) in seen:
             continue
         seen.add((p, off))
-        seen.add(((-p[0], -p[1], -p[2]), -off))
+        seen.add((tuple(map(operator.neg, p)), -off))
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("region construction exceeded its deadline")
         cut, boundary = _split(rows, p, off)
         records = _sweep_records(rows, p, boundary)
-        uoff = u[0] * a[0] + u[1] * a[1] + u[2] * a[2]
-        h = Halfspace(tuple(Fraction(x, s2) for x in u), Fraction(uoff, s3))
+        h = Halfspace(tuple(Fraction(x, sn) for x in u), Fraction(uoff, so))
         flipped = Halfspace(tuple(-x for x in h.normal), -h.offset)
         table.append((h, cut, boundary, records))
         table.append((flipped, n - cut - len(boundary), boundary, records))
@@ -299,23 +313,7 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
                 out.append(cert)
         return tuple(out)
 
-    out: list[IrrotatableCertificate] = []
-    if d == 2:
-        seen: set = set()
-        for a, b in itertools.combinations(sorted(set(ds.points)), 2):
-            t = tuple(bb - aa for aa, bb in zip(a, b))
-            for normal in ((-t[1], t[0]), (t[1], -t[0])):
-                h = halfspace(normal, sum(nc * ac for nc, ac in zip(normal, a)))
-                key = h.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                cert = certificate_for(ds, h, tau)
-                if cert is not None:
-                    out.append(cert)
-        return tuple(out)
-
-    # d == 3: read the level off the plane table, built once per open scope
+    # read the level off the candidate table, built once per open scope
     scope = ds._cache.get(_SCOPE)
     if scope is None:
         table = _plane_table(ds, None)
@@ -324,6 +322,7 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
             scope["planes"] = _plane_table(ds, scope["deadline"])
         table = scope["planes"]
     k = quantile_index(ds.n, tau)
+    out = []
     for h, cut, boundary, records in table:
         if cut > k - 1:
             continue

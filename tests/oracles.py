@@ -315,6 +315,28 @@ def reference_candidate_planes_3d(ds: DataSet):
                 yield h
 
 
+def reference_enumerate_irrotatable_2d(ds: DataSet, tau):
+    """Every 2-D certificate at ``tau``: the lines through pairs of sorted
+    distinct points, normal ``perp(b - a)`` then its negative, deduplicated
+    by ``canonical_key``, one Fraction pass per candidate."""
+    from halfmed.geometry import halfspace
+
+    seen = set()
+    out = []
+    for a, b in itertools.combinations(sorted(set(ds.points)), 2):
+        t = tuple(bb - aa for aa, bb in zip(a, b))
+        for normal in ((-t[1], t[0]), (t[1], -t[0])):
+            h = halfspace(normal, sum(nc * ac for nc, ac in zip(normal, a)))
+            key = h.canonical_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            cert = reference_certificate_for(ds, h, tau)
+            if cert is not None:
+                out.append(cert)
+    return tuple(out)
+
+
 def reference_enumerate_irrotatable_3d(ds: DataSet, tau):
     """Every 3-D certificate at ``tau``, one Fraction pass per candidate."""
     out = []
@@ -452,6 +474,54 @@ def reference_intersect_3d(hs):
 
 
 # ---------------------------------------------------------------------------
+# reference half-turn window: one anchor at a time, one call per pointer step
+
+
+def reference_window_in(anchor, w) -> bool:
+    """Angle of w lies in the half-open half-circle [anchor, anchor + pi)."""
+    cross = anchor[0] * w[1] - anchor[1] * w[0]
+    if cross > 0:
+        return True
+    if cross < 0:
+        return False
+    return anchor[0] * w[0] + anchor[1] * w[1] > 0
+
+
+def reference_max_window(groups, mult):
+    """Largest multiplicity in a half-open angular window, with all anchors."""
+    m = len(groups)
+    if m == 1:
+        return mult[0], [0]
+    best = -1
+    anchors = []
+    r = 0
+    cnt = 0
+    for j in range(m):
+        if r < j:
+            r = j
+            cnt = 0
+        while r < j + m and reference_window_in(groups[j], groups[r % m]):
+            cnt += mult[r % m]
+            r += 1
+        if cnt > best:
+            best = cnt
+            anchors = [j]
+        elif cnt == best:
+            anchors.append(j)
+        cnt -= mult[j]
+    return best, anchors
+
+
+def reference_depth2_counts(c0, groups, mult):
+    """``(count, anchors)`` of the 2-D sweep over angular groups."""
+    n_nz = sum(mult)
+    if not groups:
+        return c0, []
+    best, anchors = reference_max_window(groups, mult)
+    return c0 + n_nz - best, anchors
+
+
+# ---------------------------------------------------------------------------
 # reference 3-D depth kernel: the O(n^3) edge sweep, n dot products per edge
 
 
@@ -468,15 +538,16 @@ def reference_depth3_int(c0, vecs):
     """``(count, witness)`` of the 3-D kernel as one full pass per edge.
 
     Every arrangement edge recounts the points below it with one dot product
-    per point; the witness is rebuilt at every strict improvement.  The 2-D
-    helpers are the package's own, apart from the Fraction cell witness.
+    per point; the witness is rebuilt at every strict improvement.  The
+    angular grouping and the rank are the package's own; the window sweep
+    and the Fraction cell witness are the references in this module.
     """
-    from halfmed.depth import _depth2_counts, _groups_python, _max_window, _vec_rank3
+    from halfmed.depth import _groups_python, _vec_rank3
 
     n_nz = len(vecs)
     if n_nz == 0:
         return c0, (1, 0, 0)
-    rank, (b1, b2, normal) = _vec_rank3(vecs)
+    rank, b1, normal = _vec_rank3(vecs)
 
     if rank == 1:
         pos = sum(1 for v in vecs if _reference_dot3(b1, v) > 0)
@@ -487,7 +558,7 @@ def reference_depth3_int(c0, vecs):
         bb2 = _reference_cross3(normal, b1)
         mapped = [(_reference_dot3(b1, v), _reference_dot3(bb2, v)) for v in vecs]
         groups, mult = _groups_python(mapped)
-        count, anchors = _depth2_counts(c0, groups, mult)
+        count, anchors = reference_depth2_counts(c0, groups, mult)
         s, t = reference_cell_witness_2d(groups[anchors[0]], groups)
         u = tuple(s * a + t * b for a, b in zip(b1, bb2))
         return count, u
@@ -524,7 +595,7 @@ def reference_depth3_int(c0, vecs):
         bb2 = _reference_cross3(e, bb1)
         mapped = [(_reference_dot3(bb1, v), _reference_dot3(bb2, v)) for v in zidx]
         groups, mult = _groups_python(mapped)
-        wbest, anchors = _max_window(groups, mult)
+        wbest, anchors = reference_max_window(groups, mult)
         count = c0 + below + (len(zidx) - wbest)
         if best_count is None or count < best_count:
             s, t = reference_cell_witness_2d(groups[anchors[0]], groups)
@@ -820,16 +891,21 @@ def _reference_angle_cmp(a, b) -> int:
     return -1 if c > 0 else (1 if c < 0 else 0)
 
 
-def reference_planar_groups(ds: DataSet, x):
-    """``(zero count, groups, multiplicities)`` of a planar query."""
-    zeros, vecs = _diff_vectors(x, ds)
+def reference_groups(vecs):
+    """Primitive directions of nonzero 2-vectors in angular order, with counts."""
     acc = {}
     for a, b in vecs:
         g = math.gcd(abs(a), abs(b))
         key = (a // g, b // g)
         acc[key] = acc.get(key, 0) + 1
     keys = sorted(acc, key=functools.cmp_to_key(_reference_angle_cmp))
-    return zeros, keys, [acc[k] for k in keys]
+    return keys, [acc[k] for k in keys]
+
+
+def reference_planar_groups(ds: DataSet, x):
+    """``(zero count, groups, multiplicities)`` of a planar query."""
+    zeros, vecs = _diff_vectors(x, ds)
+    return (zeros, *reference_groups(vecs))
 
 
 def reference_recount(ds: DataSet, x, u):
@@ -847,8 +923,6 @@ def reference_low_dim_depth(ds: DataSet, x):
     The raw witness is the integer direction of the first minimizing cell;
     the cone witnesses are one canonical direction per minimizing cell.
     """
-    from halfmed.depth import _max_window
-
     if ds.dim == 1:
         zeros, vecs = _diff_vectors(x, ds)
         neg = sum(1 for (v,) in vecs if v < 0)
@@ -859,7 +933,7 @@ def reference_low_dim_depth(ds: DataSet, x):
     zeros, groups, mult = reference_planar_groups(ds, x)
     if not groups:
         return zeros, zeros, (1, 0), [(1, 0)]
-    best, anchors = _max_window(groups, mult)
+    best, anchors = reference_max_window(groups, mult)
     cones = []
     for j in anchors:
         u = reference_cell_witness_2d(groups[j], groups)

@@ -29,7 +29,7 @@ from halfmed.depth import (
     witness_cut,
 )
 from halfmed.distributions import degenerate_sampler, sample, uniform_ball
-from halfmed.geometry import cross3, dataset, point, primitive
+from halfmed.geometry import canonical_direction, cross3, dataset, point, primitive
 
 from oracles import (
     oracle_depth_count,
@@ -38,7 +38,9 @@ from oracles import (
     reference_cell_witness_2d,
     reference_depth3_int,
     reference_edge_witness,
+    reference_groups,
     reference_low_dim_depth,
+    reference_max_window,
     reference_planar_groups,
     reference_recount,
 )
@@ -465,6 +467,93 @@ class TestWitnessTiltsMatchFractionReference:
             cells += 1
 
 
+def _group_lists(rng):
+    """Angular group lists of the shapes the half-turn sweep must get right."""
+    def vec():
+        while True:
+            v = (rng.randint(-5, 5), rng.randint(-5, 5))
+            if v != (0, 0):
+                return v
+
+    out = []
+    for _ in range(40):
+        v = vec()
+        # one ray, all the weight on it
+        out.append(reference_groups([v] * rng.randint(1, 6)))
+        # antipodal pairs, with lengths that differ along each pair
+        pairs = [vec() for _ in range(rng.randint(1, 5))]
+        out.append(reference_groups(pairs + [(-2 * a, -2 * b) for a, b in pairs]))
+        # random rays, two of them exactly a half-turn apart
+        out.append(reference_groups([vec() for _ in range(rng.randint(1, 8))] + [v, (-3 * v[0], -3 * v[1])]))
+        # random rays, one of them carrying most of the weight
+        out.append(reference_groups([vec() for _ in range(rng.randint(1, 8))] + [v] * 12))
+        out.append(reference_groups([vec() for _ in range(rng.randint(1, 12))]))
+    return out
+
+
+class TestHalfTurnSweep:
+    """``_max_window`` and ``_circle_sides`` share one half-turn pass; both
+    against the one-anchor-at-a-time window and against direct counts."""
+
+    def test_max_window_matches_reference(self):
+        for groups, mult in _group_lists(random.Random(1001)):
+            assert _max_window(groups, mult) == reference_max_window(groups, mult)
+
+    def test_circle_sides_match_direct_counts(self):
+        rng = random.Random(1002)
+        for groups, mult in _group_lists(rng):
+            # the groups seen along the z axis and along the x axis, each with
+            # random heights; heights project away, so rays stay rays
+            for d, embed in (((0, 0, 1), lambda g, h: (*g, h)), ((1, 0, 0), lambda g, h: (h, *g))):
+                dirs = [embed(g, rng.randint(-3, 3)) for g in groups] + [d]
+                weights = mult + [rng.randint(1, 3)]
+                sides = _circle_sides(d, dirs, weights)
+                for k, side in zip(dirs, sides):
+                    e = cross3(d, k)
+                    if e == (0, 0, 0):
+                        assert side is None
+                        continue
+                    dots = [sum(a * b for a, b in zip(e, v)) for v in dirs]
+                    right = sum(w for t, w in zip(dots, weights) if t < 0)
+                    left = sum(w for t, w in zip(dots, weights) if t > 0)
+                    assert side == (right, left)
+
+
+def _degenerate_sets(rng):
+    """1-D, 2-D and 3-D sets with duplicates and collinear points, and 3-D
+    sets that span only a line or a plane."""
+    sets = []
+    for dim in (1, 2, 3):
+        for _ in range(25):
+            sets.append(random_dataset(rng, dim, max_n=9 if dim == 3 else 12,
+                                       dup_prob=0.4, collinear_prob=0.4))
+    for _ in range(15):
+        base = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+        u = tuple(F(rng.randint(-3, 3)) for _ in range(3))
+        w = tuple(F(rng.randint(-3, 3)) for _ in range(3))
+        line = [tuple(b + rng.randint(-3, 3) * c for b, c in zip(base, u)) for _ in range(7)]
+        plane = [tuple(b + rng.randint(-3, 3) * c + rng.randint(-3, 3) * e
+                       for b, c, e in zip(base, u, w)) for _ in range(9)]
+        sets += [dataset(line), dataset(plane)]
+    return sets
+
+
+class TestEntryPointsAgree:
+    """The four depth entry points are views of one kernel per dimension."""
+
+    def test_counts_and_first_witness_agree(self):
+        rng = random.Random(1003)
+        for ds in _degenerate_sets(rng):
+            for x in [random_probe(rng, ds) for _ in range(3)] + [ds.points[0]]:
+                res = tukey_depth(x, ds)
+                assert depth_count(x, ds) == res.count
+                assert optimal_direction_cone(x, ds)[0] == res.witness
+                if ds.dim > 1:
+                    count, u = witness_cut(x, ds)
+                    assert count == res.count
+                    assert canonical_direction(u) == res.witness
+
+
 def _low_dim_cases():
     """1-D and 2-D (dataset, query) pairs, most with a long common scale."""
     rng = random.Random(1996)
@@ -555,7 +644,8 @@ class TestLowDimKernelMatchesCommonScaleReference:
 
 
 class TestQueryLength:
-    """The exact depth functions reject queries of the wrong length."""
+    """The depth functions and ``directional_quantile`` reject vectors of the
+    wrong length."""
 
     FUNCS = (tukey_depth, depth_count, witness_cut, optimal_direction_cone)
 
@@ -564,6 +654,16 @@ class TestQueryLength:
         for x in ((0, 0, 5), (0,)):
             with pytest.raises(ValueError, match="query point dimension does not match dataset"):
                 func(x, DS_A)
+
+    def test_approximate_depth_wrong_length_raises(self):
+        for x in ((0, 0, 5), (1,)):
+            with pytest.raises(ValueError, match="query point dimension does not match dataset"):
+                approximate_depth(x, DS_A, n_directions=8)
+
+    def test_directional_quantile_wrong_length_raises(self):
+        for u in ((1,), (1, 0, 7)):
+            with pytest.raises(ValueError, match="direction dimension does not match dataset"):
+                directional_quantile(DS_A, u, "1/2")
 
     @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.__name__)
     def test_above_three_dimensions_raises(self, func):

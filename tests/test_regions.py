@@ -14,7 +14,9 @@ from fractions import Fraction as F
 import pytest
 
 from halfmed import (
+    affine_dimension,
     dataset,
+    degenerate_sampler,
     depth_region,
     enumerate_irrotatable,
     certificate_for,
@@ -40,6 +42,7 @@ from oracles import (
     reference_candidate_planes_3d,
     reference_certificate_for,
     reference_contact_location,
+    reference_enumerate_irrotatable_2d,
     reference_enumerate_irrotatable_3d,
     reference_intersect_3d,
     reference_polyhedron_centroid,
@@ -363,6 +366,23 @@ class TestCertificatesMatchFractionReference:
                 want = reference_enumerate_irrotatable_3d(ds, F(k, ds.n))
                 assert got == want, (ds.points, k)
                 assert repr(got) == repr(want)
+
+    def test_enumeration_2d_at_every_level(self):
+        rng = random.Random(2030)
+        sets = [DS_A, DS_B, TRIANGLE]
+        sets += [random_dataset(rng, 2, max_n=12, dup_prob=0.3, collinear_prob=0.4) for _ in range(40)]
+        spec = degenerate_sampler(uniform_ball(2), 0.2, 0.4)
+        sets += [sample(spec, 20, seed, bits=53) for seed in (5, 6)]
+        checked = 0
+        for ds in sets:
+            if affine_dimension(ds) < 2:
+                continue
+            for k in range(1, ds.n + 1):
+                got = enumerate_irrotatable(ds, F(k, ds.n))
+                want = reference_enumerate_irrotatable_2d(ds, F(k, ds.n))
+                assert repr(got) == repr(want), (ds.points, k)
+            checked += 1
+        assert checked >= 30
 
     def test_certificate_for_3d(self):
         rng = random.Random(31)
