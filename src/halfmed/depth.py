@@ -579,8 +579,7 @@ def directional_quantile(ds: DataSet, u: Sequence[object], tau: object) -> Fract
     if all(c == 0 for c in ut):
         raise ValueError("direction must be nonzero")
     k = quantile_index(ds.n, tau)
-    uden = math.lcm(*(c.denominator for c in ut))
-    ui = tuple(int(c * uden) for c in ut)
+    uden, ui = _int_point(ut)
     scale, rows = ds.scaled_ints()
     projs = [sum(map(operator.mul, ui, r)) for r in rows]
     projs.sort()
