@@ -513,11 +513,12 @@ def _verify_witness(ds: DataSet, xt: Vec, witness: Vec, count: int) -> None:
 def tukey_depth(x: Sequence[object], ds: DataSet) -> DepthResult:
     """Exact halfspace depth of ``x`` with respect to the dataset (d <= 3)."""
     xt = _query_point(x, ds)
-    count, c0, cells, witness = _KERNELS[ds.dim](ds, xt)
+    d, n = ds.dim, ds.n
+    count, c0, cells, witness = _KERNELS[d](ds, xt)
     u = canonical_direction(witness(cells, 0))
-    if ds.dim > 1:
+    if d > 1:
         _verify_witness(ds, xt, u, count)
-    return DepthResult(Fraction(count, ds.n), count, ds.n, u, c0)
+    return DepthResult(Fraction(count, n), count, n, u, c0)
 
 
 def depth_count(x: Sequence[object], ds: DataSet) -> int:
@@ -533,9 +534,10 @@ def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
     canonicalization, no recount.
     """
     xt = _query_point(x, ds)
-    if ds.dim == 1:
+    d = ds.dim
+    if d == 1:
         raise ValueError("witness_cut supports d = 2 or 3; use tukey_depth on 1-D data")
-    count, _, cells, witness = _KERNELS[ds.dim](ds, xt)
+    count, _, cells, witness = _KERNELS[d](ds, xt)
     return count, witness(cells, 0)
 
 
