@@ -180,7 +180,7 @@ def _groups_python(vecs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int
 def _half_turns(groups: list[tuple[int, int]], mult: list[int]) -> tuple[list[int], list[int]]:
     """Per group, the weight of its half-open half-turn and of its antipode.
 
-    ``groups`` are distinct primitive directions in angular order.  Entry j
+    ``groups`` are one vector per ray, the rays in angular order.  Entry j
     of the first list is the weight of the directions in ``[groups[j],
     groups[j] + pi)``, of the second the weight exactly a half-turn away.
     One two-pointer pass: the far end of the window only moves forward.
