@@ -495,13 +495,6 @@ def _query_point(x: Sequence[object], ds: DataSet) -> Vec:
     return xt
 
 
-def _planar_groups(ds: DataSet, xt: Vec):
-    """Angularly sorted difference-direction groups for a planar query."""
-    c0, vecs = _row_vectors(ds, xt)
-    groups, mult = _groups_python(vecs)
-    return c0, groups, mult
-
-
 def _verify_witness(ds: DataSet, xt: Vec, witness: Vec, count: int) -> None:
     got, _ = _recount(ds, xt, witness)
     if got != count:

@@ -43,7 +43,7 @@ def as_fraction(value: object) -> Fraction:
         try:
             if _RATIONAL_RE.match(token):
                 num, den = token.split("/")
-                return Fraction(int(num), int(den))
+                return Fraction(int(Decimal(num)), int(Decimal(den)))
             # Decimal handles plain and scientific notation exactly.
             return Fraction(Decimal(token))
         except (ZeroDivisionError, ArithmeticError) as exc:
@@ -65,7 +65,10 @@ def point(*coords: object) -> Vec:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    # Decimal converts ints of any length, where str stops at the
+    # interpreter's int-to-str digit limit (4300 digits by default)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,10 @@
 The intersections arising from depth regions are frequently degenerate —
 segments, single points, or empty sets — so the vertex enumeration never
 assumes full dimensionality.  Everything runs on integers after clearing
-denominators.  In 2-D a box polygon is clipped by each halfspace in turn;
-in 3-D the vertices are the solutions of three boundary planes that satisfy
-every constraint, which are exactly the extreme points.  A cutting loop that
-adds planes to a bounded intersection solves only the plane triples with a
-new plane and keeps the old vertices inside the new ones.
+denominators.  A box is clipped by each halfspace in turn: in 2-D a
+polygon, in 3-D a vertex set that records the constraints tight at each
+vertex, so that a cut meets only the edges it crosses.  The cutting loops
+clip the same way, one new cut at a time.
 
 ``intersect_halfspaces`` intersects inside the box ``[-M, M]^d`` with ``M``
 one more than Cramer's bound on the arrangement's vertices.  So a bounded
@@ -19,6 +18,7 @@ list.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import pathlib
 from dataclasses import dataclass, replace
@@ -180,54 +180,50 @@ def _intersect_2d(hs: list[Halfspace]) -> Polytope:
 def _intersect_3d(hs: list[Halfspace]) -> Polytope:
     ints = _int_halfspaces(hs)
     m = _box_bound(ints, 3)
-    box = [(tuple(s * (j == i) for j in range(3)), -m) for i in range(3) for s in (1, -1)]
-    hverts = _plane_triples(ints + box)
-    return _boxed(_polytope_3d(tuple(hs), *_vertex_order(hverts)), hverts, m)
+    verts = _box_3d([(-m, m)] * 3)
+    for i, (normal, offset) in enumerate(ints, 6):
+        verts = _clip_3d(verts, i, normal, offset)
+    return _boxed(_polytope_3d(tuple(hs), *_vertex_order(verts)), verts, m)
 
 
-def _plane_triples(
-    ints: list[tuple[tuple[int, ...], int]], start: int = 0
-) -> set[tuple[int, int, int, int]]:
-    """Vertices met by the boundary planes ``i < j < k`` with ``k >= start``.
+def _box_3d(bounds) -> dict[tuple[int, ...], frozenset[int]]:
+    """The box ``lo_i <= x_i <= hi_i`` as ``_clip_3d`` vertices, with
+    constraint ``2 i`` ``x_i >= lo_i`` and ``2 i + 1`` ``-x_i >= -hi_i``;
+    equal bounds merge corners and unite their tight sets."""
+    verts: dict[tuple[int, ...], frozenset[int]] = {}
+    if all(lo <= hi for lo, hi in bounds):
+        sides = [((lo, 2 * i), (hi, 2 * i + 1)) for i, (lo, hi) in enumerate(bounds)]
+        for corner in itertools.product(*sides):
+            hv = _hvertex([c for c, _ in corner])
+            verts[hv] = verts.get(hv, frozenset()) | {j for _, j in corner}
+    return verts
 
-    Each vertex satisfies every constraint of ``ints`` and is returned as
-    reduced homogeneous integers ``(x, y, z, w)``, ``w > 0``, standing for
-    ``(x / w, y / w, z / w)``.  With ``start = 0`` every triple is solved; a
-    cutting loop that appended new planes from ``start`` on solves only the
-    triples containing a new one, since any other vertex is an old vertex.
+
+def _clip_3d(verts, index: int, normal: tuple[int, ...], offset: int):
+    """Clip a bounded polytope by ``normal . x >= offset``, constraint ``index``.
+
+    ``verts`` maps each vertex, reduced homogeneous integers ``(x, y, z, w)``
+    with ``w > 0``, to the constraints tight at it.  Vertices on the plane
+    gain ``index``, those below it go, and each edge from above to below
+    adds its crossing, tight at both ends' common constraints and ``index``.
+    Two vertices span an edge iff no third is tight at all their common
+    constraints, in every dimension and with no general position.
     """
-    m = len(ints)
-    # the boundary planes i < j < k meet in x = (ci (nj x nk) - cj (ni x nk)
-    # + ck (ni x nj)) / det with det = ni . (nj x nk): every triple reads
-    # its determinant and Cramer numerators off the pairwise cross products
-    crosses = [
-        [None] * (i + 1) + [cross3(ints[i][0], ints[j][0]) for j in range(i + 1, m)]
-        for i in range(m)
-    ]
-    found: set[tuple[int, int, int, int]] = set()
-    for i in range(m):
-        (a0, a1, a2), ci = ints[i]
-        cross_i = crosses[i]
-        for j in range(i + 1, m):
-            cj = ints[j][1]
-            ij0, ij1, ij2 = cross_i[j]
-            cross_j = crosses[j]
-            for k in range(max(j + 1, start), m):
-                jk0, jk1, jk2 = cross_j[k]
-                det = a0 * jk0 + a1 * jk1 + a2 * jk2
-                if det == 0:
-                    continue
-                ck = ints[k][1]
-                ik0, ik1, ik2 = cross_i[k]
-                x0 = ci * jk0 - cj * ik0 + ck * ij0
-                x1 = ci * jk1 - cj * ik1 + ck * ij1
-                x2 = ci * jk2 - cj * ik2 + ck * ij2
-                if det < 0:
-                    x0, x1, x2, det = -x0, -x1, -x2, -det
-                if all(n0 * x0 + n1 * x1 + n2 * x2 >= c * det for (n0, n1, n2), c in ints):
-                    g = math.gcd(x0, x1, x2, det)
-                    found.add((x0 // g, x1 // g, x2 // g, det // g))
-    return found
+    n0, n1, n2 = normal
+    side = {v: n0 * v[0] + n1 * v[1] + n2 * v[2] - offset * v[3] for v in verts}
+    out = {v: t | {index} if side[v] == 0 else t for v, t in verts.items() if side[v] >= 0}
+    below = [v for v in verts if side[v] < 0]
+    for u in [v for v in verts if side[v] > 0]:
+        for v in below:
+            common = verts[u] & verts[v]
+            # an edge lies on two independent tight planes at least
+            if len(common) < 2 or any(common <= t for w, t in verts.items() if w not in (u, v)):
+                continue
+            # s_u v - s_v u lies on the plane
+            x = [side[u] * b - side[v] * a for a, b in zip(u, v)]
+            g = math.gcd(*x)
+            out[tuple([c // g for c in x])] = common | {index}
+    return out
 
 
 def _vertex_order(hverts) -> tuple[list[tuple[Vec, tuple[int, ...]]], int]:
@@ -288,11 +284,10 @@ def _order_planar_cycle(verts: list[Vec]) -> list[Vec]:
 # points equal tuples.
 
 
-def _hvertex(v: Sequence[Fraction]) -> tuple[int, int, int]:
-    """Reduced homogeneous integers of a rational point of the plane."""
-    x, y = v
-    w = math.lcm(x.denominator, y.denominator)
-    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+def _hvertex(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """Reduced homogeneous integers of a rational point."""
+    w = math.lcm(*(c.denominator for c in v))
+    return (*(c.numerator * (w // c.denominator) for c in v), w)
 
 
 def _hpoint(v: tuple[int, ...]) -> Vec:

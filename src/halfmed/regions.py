@@ -25,9 +25,10 @@ Two independent construction routes are provided:
   a finite family, which guarantees termination.  In space the cuts are
   the level's certificates, which all contain the region and, up to the
   maximal depth, meet in it: a vertex lies outside the region exactly when
-  one of them excludes it, an integer dot product each.  Only vertices
-  that no certificate excludes get a depth evaluation, and a shallow one
-  shows the level to be empty.
+  one of them excludes it, an integer dot product each.  A level counts
+  the depth of one vertex at most: the first that no certificate excludes,
+  and none once a point of that depth is known.  A shallow one shows the
+  level to be empty.
 
 Both routes return identical polytopes; the cutting route scales to
 thousands of points and tolerates degenerate (affinely deficient) data.
@@ -67,11 +68,12 @@ from .geometry import (
 )
 from .polytope import (
     Polytope,
+    _box_3d,
     _box_polygon,
     _clip,
+    _clip_3d,
     _hpoint,
     _int_halfspaces,
-    _plane_triples,
     _polygon_polytope,
     _polytope_3d,
     _vertex_order,
@@ -638,33 +640,26 @@ def _region_3d_lazy_certificates(
 
     Every certificate contains the region, and up to the maximal depth
     their intersection is the region.  So a vertex that some certificate
-    excludes is cut by the first such one, with no depth query; only a
-    vertex that none excludes gets ``_vertex_count`` (``counts`` holds at
-    every level), and a shallow one means the level is empty.  A vertex
-    already counted at depth k or more lies in every certificate, so it is
-    not scanned.
-
-    The polytope is carried through the rounds as homogeneous integer
-    vertices: the axis quantile box bounds it, old vertices that satisfy the
-    new cuts stay, and only plane triples with a new cut are solved.
+    excludes is cut by the first such one, with no depth query.  Once a
+    point of depth k or more is known (``counts`` holds at every level), a
+    vertex that none excludes is in the region; until then the first such
+    vertex gets ``_vertex_count``, and a shallow one means the level is
+    empty.  A vertex counted at depth k or more is in every certificate, so
+    it is not scanned.  The polytope is the axis quantile box as homogeneous
+    integer vertices with their tight constraints, clipped by each new cut.
     """
     family = [c.halfspace for c in enumerate_irrotatable(ds, tau)]
     family_ints = _int_halfspaces(family)
     constraints = _axis_quantile_box(ds, tau)
     ints = _int_halfspaces(constraints)
-    hverts: set[tuple[int, int, int, int]] = set()
-    start = 0
+    # the box is x >= xlo, -x >= -xhi, y >= ylo, -y >= -yhi, z >= zlo, -z >= -zhi
+    verts = _box_3d([(a.offset, -b.offset) for a, b in zip(constraints[::2], constraints[1::2])])
+    start = len(ints)
+    proven = any(cnt >= k for cnt in counts.values())
     for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("region construction exceeded its deadline")
-        fresh = ints[start:]
-        hverts = {
-            v for v in hverts
-            if all(n0 * v[0] + n1 * v[1] + n2 * v[2] >= c * v[3] for (n0, n1, n2), c in fresh)
-        }
-        hverts |= _plane_triples(ints, start)
-        start = len(ints)
-        pairs, adim = _vertex_order(hverts)
+        pairs, adim = _vertex_order(verts)
         for v, (x, y, z, w) in pairs:
             if counts.get(v, -1) >= k:
                 continue  # deep, so inside every certificate
@@ -676,12 +671,16 @@ def _region_3d_lazy_certificates(
                     ints.append(family_ints.pop(i))
                     break
             else:
-                if _vertex_count(ds, v, counts) < k:
+                if not proven and _vertex_count(ds, v, counts) < k:
                     # no certificate excludes a shallow point: the level is
                     # above the maximal depth and the region is empty
                     return _empty_region(3)
+                proven = True
         if len(ints) == start:
             return _polytope_3d(tuple(dedup_halfspaces(constraints)), pairs, adim)
+        for i in range(start, len(ints)):
+            verts = _clip_3d(verts, i, *ints[i])
+        start = len(ints)
     raise RuntimeError("certificate cutting loop failed to converge")
 
 
@@ -828,8 +827,12 @@ def _bisect_levels(
             k_lo = k_try
             best_poly = poly
             best_k = k_try
-            # region vertices often reveal deeper points; jump if so
-            deepest = max(_vertex_count(ds, v, counts) for v in poly.vertices)
+            # region vertices often reveal deeper points; jump if so (in
+            # space on the loop's own counts, one a level at most)
+            deepest = max(
+                _vertex_count(ds, v, counts) if ds.dim == 2 else counts.get(v, 0)
+                for v in poly.vertices
+            )
             if deepest > k_lo:
                 k_lo = deepest
                 best_k = None  # the floor must be re-established by a build

@@ -14,10 +14,10 @@ from halfmed.depth import (
     _edge_witness,
     _groups_python,
     _max_window,
-    _planar_groups,
     _pseudo_angle,
     _query_vectors,
     _recount,
+    _row_vectors,
     approximate_depth,
     depth_count,
     directional_quantile,
@@ -603,7 +603,8 @@ class TestLowDimKernelMatchesCommonScaleReference:
     def test_planar_groups_match_reference(self):
         for ds, x in _low_dim_cases():
             if ds.dim == 2:
-                assert _planar_groups(ds, x) == reference_planar_groups(ds, x)
+                c0, vecs = _row_vectors(ds, x)
+                assert (c0, *_groups_python(vecs)) == reference_planar_groups(ds, x)
 
     def test_near_parallel_case_needs_the_exact_sort(self):
         ds, x = _near_parallel_case()

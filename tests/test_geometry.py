@@ -19,6 +19,7 @@ from halfmed.geometry import (
     convex_hull_contains,
     dataset,
     dataset_from_floats,
+    format_rational,
     halfspace,
     hull_halfspaces,
     matrix_rank,
@@ -58,6 +59,16 @@ class TestAsFraction:
             as_fraction("1/0")
         with pytest.raises((ValueError, TypeError)):
             as_fraction("abc")
+
+    def test_round_trip_past_the_int_digit_limit(self):
+        # the interpreter's int <-> str conversions stop at 4300 digits
+        for x in (F(10**5000 + 1, 3), F(-(7**6000), 10**4400 + 9), F(3**9000)):
+            text = format_rational(x)
+            assert as_fraction(text) == x
+        assert format_rational(F(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+        assert as_fraction("-" + "9" * 5000 + "/7") == F(-(10**5000 - 1), 7)
+        # short numbers keep their bytes
+        assert [format_rational(x) for x in (F(-3, 4), F(7), F(0))] == ["-3/4", "7", "0"]
 
 
 class TestSnap:

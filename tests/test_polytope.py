@@ -1,17 +1,21 @@
 """Exact halfspace intersections, clipping, centroids, and region export."""
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
-from halfmed.geometry import convex_hull_2d, dataset, halfspace, point
+from halfmed.geometry import as_fraction, convex_hull_2d, dataset, halfspace, point
 from halfmed.polytope import (
+    _box_3d,
+    _box_bound,
     _clip,
+    _clip_3d,
+    _hpoint,
     _hvertex,
     _int_halfspaces,
     _intersect_2d,
     _intersect_3d,
-    _plane_triples,
     _polyhedron_centroid,
     barycenter,
     clip_polygon,
@@ -365,27 +369,73 @@ class TestIntersect3DUnboundedMatchesReference:
         assert not p.contains((F(-1), F(1, 3), F(1)))
 
 
-class TestPlaneTriplesIncremental:
-    def test_old_vertices_plus_new_triples_give_every_vertex(self):
-        # a vertex of the grown set either has three independent tight old
-        # planes (an old vertex inside the new planes) or a tight new one
+def _flat_halfspaces_3d(rng):
+    """``_random_halfspaces_3d`` with zero to three of the planes through its
+    apex also reversed, pinning a plane, a line or the apex alone."""
+    hs, apex = _random_halfspaces_3d(rng)
+    through = [h for h in hs if sum(a * c for a, c in zip(h.normal, apex)) == h.offset]
+    for h in rng.sample(through, rng.randint(0, min(3, len(through)))):
+        hs.append(halfspace(tuple(-c for c in h.normal), -h.offset))
+    rng.shuffle(hs)
+    return hs, apex
+
+
+def _tight(constraints, v):
+    """The numbers of the integer constraints whose boundary plane holds the
+    homogeneous vertex ``v``."""
+    return {i for i, (n, c) in constraints.items() if sum(map(operator.mul, n, v)) == c * v[3]}
+
+
+class TestClip3DMatchesCramerReference:
+    """The clip, one cut at a time from the Cramer box, against the vertices
+    of every triple of boundary planes that satisfy every constraint; after
+    every cut, each vertex's tight set is every plane through it."""
+
+    def test_each_cut_gives_the_reference_vertices(self):
         rng = random.Random(4343)
         kinds = set()
-        for _ in range(120):
-            hs, _ = _random_halfspaces_3d(rng)
+        apex_vertices = 0
+        for _ in range(80):
+            hs, apex = _flat_halfspaces_3d(rng)
             ints = _int_halfspaces(hs)
-            start = rng.randint(1, len(ints) - 1)
-            old = _plane_triples(ints[:start])
-            kept = {
-                v for v in old
-                if all(sum(a * b for a, b in zip(n, v[:3])) >= c * v[3] for n, c in ints[start:])
-            }
-            want = _plane_triples(ints)
-            assert kept | _plane_triples(ints, start) == want, hs
-            assert all(v[3] > 0 and math.gcd(*v) == 1 for v in want)
-            kinds.add((bool(old - kept), bool(want - kept)))
-        # draws where the new planes drop old vertices and add new ones
-        assert (True, True) in kinds
+            m = _box_bound(ints, 3)
+            box = []
+            for i in range(3):
+                e = tuple(int(j == i) for j in range(3))
+                box += [halfspace(e, -m), halfspace(tuple(-c for c in e), -m)]
+            verts = _box_3d([(-m, m)] * 3)
+            applied = dict(enumerate(_int_halfspaces(box)))
+            # the reference at one cut along the way and at the last
+            checked = {rng.randrange(len(hs)), len(hs) - 1}
+            for i, (normal, offset) in enumerate(ints, 6):
+                verts = _clip_3d(verts, i, normal, offset)
+                applied[i] = (normal, offset)
+                if i - 6 in checked:
+                    want = reference_intersect_3d(box + hs[: i - 5])
+                    assert {_hpoint(v) for v in verts} == set(want.vertices), hs[: i - 5]
+                for v, tight in verts.items():
+                    assert v[3] > 0 and math.gcd(*v) == 1
+                    assert tight == _tight(applied, v), (hs[: i - 5], v)
+            kinds.add("empty" if want.empty else want.affine_dim)
+            apex_vertices += _hvertex(apex) in verts
+        # empty sets, points, segments, polygons and solids, and vertices with
+        # four or more planes through them
+        assert kinds == {"empty", 0, 1, 2, 3}
+        assert apex_vertices >= 10
+
+    def test_box_with_equal_bounds_merges_corners(self):
+        verts = _box_3d([(F(1), F(1)), (F(0), F(2)), (F(-1, 2), F(-1, 2))])
+        assert verts == {
+            (2, 0, -1, 2): frozenset({0, 1, 2, 4, 5}),
+            (2, 4, -1, 2): frozenset({0, 1, 3, 4, 5}),
+        }
+        assert _box_3d([(F(1), F(0)), (F(0), F(2)), (F(0), F(1))]) == {}
+        # the segment is cut at its midpoint, tight only at the line's planes
+        cut = _clip_3d(verts, 6, (0, 1, 0), 1)
+        assert cut == {
+            (2, 4, -1, 2): frozenset({0, 1, 3, 4, 5}),
+            (2, 2, -1, 2): frozenset({0, 1, 4, 5, 6}),
+        }
 
 
 class TestClipPolygon:
@@ -611,6 +661,19 @@ class TestRegionExport:
         csv_body = (tmp_path / "sq_vertices.csv").read_text().strip().splitlines()
         assert csv_body[0].split(",")[0] == "x1"
         assert len(csv_body) == 5
+
+    def test_vertex_past_the_int_digit_limit(self, tmp_path):
+        # exact medians of a hundred or more points reach 5,000-digit
+        # denominators; the files carry every digit
+        c = F(10**5000 + 1, 3 * 10**4999 + 7)
+        p = intersect_halfspaces([halfspace((1,), c), halfspace((-1,), -c)])
+        write_region_files(p, tmp_path, "big")
+        (line,) = (tmp_path / "big_vertices.txt").read_text().splitlines()
+        assert as_fraction(line) == c and len(line) == 10_002
+        rows = (tmp_path / "big_vertices.csv").read_text().splitlines()
+        assert rows == ["x1", line]
+        hs = (tmp_path / "big_halfspaces.txt").read_text().splitlines()
+        assert [as_fraction(h.split(" >= ")[1]) for h in hs] == [c, -c]
 
     def test_halfspace_file_mentions_all(self, tmp_path):
         p = intersect_halfspaces(_square())

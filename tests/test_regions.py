@@ -478,6 +478,28 @@ class TestCuttingLoop3DMatchesReference:
         got = regions._region_3d_lazy_certificates(ds, F(k, ds.n), k, None, {})
         assert repr(got) == repr(regions._empty_region(3))
 
+    def test_one_depth_query_per_level(self, monkeypatch):
+        # a level counts its first vertex that no certificate excludes, and
+        # not even that one once a point of depth k or more is known; the
+        # one more is the coordinatewise median's count
+        loop = regions._region_3d_lazy_certificates
+        calls = {"levels": 0, "depth": 0}
+
+        def counted_loop(*args):
+            calls["levels"] += 1
+            return loop(*args)
+
+        def counted_depth(x, ds):
+            calls["depth"] += 1
+            return depth_count(x, ds)
+
+        monkeypatch.setattr(regions, "_region_3d_lazy_certificates", counted_loop)
+        monkeypatch.setattr(regions, "depth_count", counted_depth)
+        for ds in _cutting_loop_3d_sets():
+            calls.update(levels=0, depth=0)
+            median_region(ds)
+            assert 1 <= calls["depth"] <= calls["levels"] + 1, (ds.points, calls)
+
     def test_family_excludes_exactly_the_shallow_points(self):
         rng = random.Random(2033)
         for ds in _cutting_loop_3d_sets():
