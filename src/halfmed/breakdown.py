@@ -15,7 +15,9 @@ exactly computable quantities:
 The upper bound is constructive: :func:`build_attack` emits the actual
 contamination plan and :func:`verify_attack` checks, with exact rational
 arithmetic, that the plan caps the depth inside the original hull and drags
-the median away linearly in the placement distance.  For tiny planar
+the median away linearly in the placement distance.  The cap is read from
+the level of the contaminated median, which no point exceeds; levels below
+it are bisected only when the median region misses the hull.  For tiny planar
 datasets :func:`exact_breakdown` searches the plan family exhaustively and,
 whenever the two bounds pinch, certifies the exact breakdown point.
 """
@@ -47,7 +49,7 @@ from .geometry import (
     vsub,
 )
 from .polytope import Polytope, barycenter, intersect_halfspaces
-from .regions import depth_region, median_region
+from .regions import MedianResult, depth_region, median_region
 
 _DESCENT_CAP = 10_000
 _DESCENT_GAP = Fraction(1, 2**40)
@@ -295,9 +297,13 @@ class ContaminationPlan:
 
 @dataclass(frozen=True)
 class AttackVerification:
+    """A plan's verdict; ``median`` is the contaminated median the escape
+    test measured, and ``tuple(res)`` holds the first three fields only."""
+
     sup_depth_inside: Fraction
     depth_at_y0: Fraction
     escaped: bool
+    median: Vec
 
     def __iter__(self) -> Iterator:
         return iter((self.sup_depth_inside, self.depth_at_y0, self.escaped))
@@ -405,24 +411,30 @@ def build_attack(
     )
 
 
-def _sup_depth_on_hull(clean: DataSet, contaminated: DataSet) -> Fraction:
-    """Exact sup of the contaminated depth over the clean convex hull."""
+def _sup_depth_on_hull(clean: DataSet, contaminated: DataSet, top: MedianResult) -> Fraction:
+    """Exact sup of the contaminated depth over the clean convex hull.
+
+    ``top`` is the contaminated median: no point is deeper than its level
+    k*, so the sup is k*/(n+m) when its region meets the hull, and otherwise
+    the levels below k* are bisected.
+    """
     hull_hs = hull_halfspaces(clean)
     total = contaminated.n
 
-    def feasible(k: int) -> bool:
-        region = depth_region(contaminated, Fraction(k, total)).polytope
+    # only nonemptiness is read, so a level built with other cuts than the
+    # median's gives the same answer
+    def meets_hull(region: Polytope) -> bool:
         if region.empty:
             return False
-        meet = intersect_halfspaces(
-            list(region.halfspaces) + list(hull_hs), dim=clean.dim
-        )
+        meet = intersect_halfspaces(list(region.halfspaces) + hull_hs, dim=clean.dim)
         return not meet.empty
 
-    lo, hi = 1, total  # depth 1/total is attained at every clean point
+    if meets_hull(top.region):
+        return top.lambda_star
+    lo, hi = 1, int(top.lambda_star * total) - 1  # depth 1/total holds at every clean point
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if feasible(mid):
+        if meets_hull(depth_region(contaminated, Fraction(mid, total)).polytope):
             lo = mid
         else:
             hi = mid - 1
@@ -443,30 +455,31 @@ def _enclosing_ball(ds: DataSet) -> tuple[Vec, Fraction]:
     return center, r2
 
 
-def _median_of(ds: DataSet) -> Vec:
-    return median_region(ds).median
-
-
 def verify_attack(ds: DataSet, plan: ContaminationPlan) -> AttackVerification:
     """Exact verification of a contamination plan.
 
     Checks the depth cap over the clean hull, the depth earned at ``y0``,
     and whether the contaminated median escapes: it must leave the doubled
     enclosing ball of the clean data and recede linearly when the placement
-    distance is multiplied by 10.
+    distance is multiplied by 10.  One contaminated median serves both the
+    escape test and the cap: the sup over the hull is read from its level
+    k* when its region meets the hull, and only levels below k* are
+    bisected otherwise.
     """
-    if len(plan.y0) != ds.dim:
+    if len(plan.y0) != ds.dim or len(plan.u) != ds.dim:
         raise ValueError("plan dimension does not match dataset")
+    if plan.m < 1:
+        raise ValueError("attack needs at least one contaminating point")
     if tukey_depth(plan.y0, ds).count >= 1:
         raise ValueError("plan's contamination point lies inside the convex hull")
 
     contaminated = dataset(list(ds.points) + [plan.y0] * plan.m)
-    sup_inside = _sup_depth_on_hull(ds, contaminated)
+    top = median_region(contaminated)
+    sup_inside = _sup_depth_on_hull(ds, contaminated, top)
     depth_y0 = tukey_depth(plan.y0, contaminated).value
 
     center, r2 = _enclosing_ball(ds)
-    t1 = _median_of(contaminated)
-    d1 = _sq_norm(vsub(t1, center))
+    d1 = _sq_norm(vsub(top.median, center))
     outside_ball = d1 > 4 * r2
 
     escaped = False
@@ -474,9 +487,9 @@ def verify_attack(ds: DataSet, plan: ContaminationPlan) -> AttackVerification:
         base = tuple(y - plan.gamma * u for y, u in zip(plan.y0, plan.u))
         y0_far = tuple(b + 10 * plan.gamma * u for b, u in zip(base, plan.u))
         far = dataset(list(ds.points) + [y0_far] * plan.m)
-        d2 = _sq_norm(vsub(_median_of(far), center))
+        d2 = _sq_norm(vsub(median_region(far).median, center))
         escaped = d2 >= 25 * d1  # distance at least 5x when placement is 10x
-    return AttackVerification(sup_inside, depth_y0, escaped)
+    return AttackVerification(sup_inside, depth_y0, escaped, top.median)
 
 
 # ---------------------------------------------------------------------------

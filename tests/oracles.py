@@ -957,3 +957,37 @@ def reference_dedup_halfspaces(halfspaces):
         elif off > best[key][0]:
             best[key] = (off, h)
     return [best[k][1] for k in order]
+
+
+# ---------------------------------------------------------------------------
+# reference hull cap of a contamination plan: bisect every level 1 ... n+m
+
+
+def reference_sup_depth_on_hull(clean: DataSet, contaminated: DataSet) -> Fraction:
+    """Exact sup of the contaminated depth over the clean convex hull.
+
+    Bisects all levels 1 ... n+m, building each with ``depth_region`` and
+    meeting it with the clean hull; it never reads the contaminated median.
+    """
+    from halfmed.geometry import hull_halfspaces
+    from halfmed.polytope import intersect_halfspaces
+    from halfmed.regions import depth_region
+
+    hull_hs = list(hull_halfspaces(clean))
+    total = contaminated.n
+
+    def feasible(k: int) -> bool:
+        region = depth_region(contaminated, Fraction(k, total)).polytope
+        if region.empty:
+            return False
+        meet = intersect_halfspaces(list(region.halfspaces) + hull_hs, dim=clean.dim)
+        return not meet.empty
+
+    lo, hi = 1, total  # depth 1/total is attained at every clean point
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return Fraction(lo, total)

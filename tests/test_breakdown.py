@@ -5,32 +5,37 @@ Frozen values were derived by hand from the projection/counting definitions
 against the exact region machinery.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import halfmed.breakdown as breakdown
 from halfmed import (
     BREAKDOWN_CSV_HEADER,
     ContaminationPlan,
     DirectionSearchConfig,
     affine_dimension,
+    ball_sphere_mixture,
     breakdown_csv_row,
     build_attack,
     dataset,
+    degenerate_sampler,
     exact_breakdown,
     lower_bound,
     median_region,
     project_dataset,
     projected_lambda,
     projection_frame,
+    sample,
     symmetrize,
     tukey_depth,
     upper_bound,
     verify_attack,
 )
 
-from oracles import random_dataset
+from oracles import random_dataset, reference_sup_depth_on_hull
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
 DS_B = dataset([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -195,6 +200,22 @@ class TestAttack:
         with pytest.raises(ValueError):
             verify_attack(DS_A, plan)
 
+    def test_malformed_plans_are_rejected(self):
+        square = dataset([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+        plan = build_attack(square, (1, 0), distance=10**3)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="at least one"):
+                verify_attack(square, dataclasses.replace(plan, m=m))
+        with pytest.raises(ValueError, match="dimension"):
+            verify_attack(square, dataclasses.replace(plan, u=(F(1), F(0), F(0))))
+
+    def test_verification_returns_the_contaminated_median(self):
+        plan = build_attack(DS_A, (1, 0), distance=10**6)
+        res = verify_attack(DS_A, plan)
+        contaminated = dataset(list(DS_A.points) + [plan.y0] * plan.m)
+        assert res.median == median_region(contaminated).median
+        assert len(tuple(res)) == 3
+
     def test_three_dimensional_attack(self):
         simp = dataset([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
         plan = build_attack(simp, (0, 0, 1), distance=10**4)
@@ -218,6 +239,68 @@ class TestAttack:
             assert res.depth_at_y0 == F(plan.m, ds.n + plan.m)
             assert res.escaped, (ds.points,)
             done += 1
+
+
+class TestHullCap:
+    """The sup of the contaminated depth over the clean hull, read from the
+    contaminated median's level or bisected below it."""
+
+    @staticmethod
+    def _check(ds, u, m, tops):
+        plan = build_attack(ds, u, distance=10**3, m=m)
+        res = verify_attack(ds, plan)
+        contaminated = dataset(list(ds.points) + [plan.y0] * plan.m)
+        assert res.sup_depth_inside == reference_sup_depth_on_hull(ds, contaminated), (
+            ds.points, u, m,
+        )
+        # the sup equals the median's level exactly when its region meets the hull
+        return res.sup_depth_inside == tops[-1]
+
+    def test_matches_full_bisection(self, monkeypatch):
+        tops = []
+        sup = breakdown._sup_depth_on_hull
+
+        def spy(clean, contaminated, top):
+            tops.append(top.lambda_star)
+            return sup(clean, contaminated, top)
+
+        monkeypatch.setattr(breakdown, "_sup_depth_on_hull", spy)
+        rng = random.Random(41)
+        directions = [(1, 0), (0, 1), (1, 1), (3, 1), (1, -2), (-2, 3)]
+        branches = []
+        sets = 0
+        while sets < 100:
+            ds = random_dataset(rng, 2, max_n=6, denom=1)
+            if affine_dimension(ds) < 2:
+                continue
+            sets += 1
+            n = ds.n
+            for m in sorted({1, n // 2, n - 1, n, n + 2, 2 * n}):
+                branches.append(self._check(ds, rng.choice(directions), m, tops))
+        simplex = dataset([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
+        for m in (1, 2, 6):
+            branches.append(self._check(simplex, (0, 0, 1), m, tops))
+        assert any(branches) and not all(branches)
+
+    def test_escaping_plans_build_no_level_region(self, monkeypatch):
+        calls = []
+        region = breakdown.depth_region
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return region(*args, **kwargs)
+
+        monkeypatch.setattr(breakdown, "depth_region", counted)
+        spec = degenerate_sampler(ball_sphere_mixture(2), 0.1, 0.2)
+        degenerate = next(
+            ds
+            for ds in (sample(spec, 10, seed, bits=21) for seed in range(100))
+            if affine_dimension(ds) == 2
+        )
+        for ds, u in ((DS_A, (1, 0)), (degenerate, (3, 1))):
+            plan = build_attack(ds, u, distance=10**3)
+            assert verify_attack(ds, plan).escaped
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
