@@ -9,7 +9,9 @@ finds the minimum by an exact sweep over the difference vectors ``Xi - x``:
 * d = 1: count the signs.
 * d = 2: sort the vectors by angle and slide a half-turn window over them
   (``_half_turns``); ties and duplicated points are counted with
-  multiplicity, never perturbed.
+  multiplicity, never perturbed.  The angular sort is a float sort checked
+  exactly in one pass over adjacent pairs (``_sort_by_angle``); only a
+  failed check pays for the exact comparison sort.
 * d = 3: vectors that span only a line or a plane go to the 1-D or 2-D
   sweep of their coordinates in an integer basis, and the witness is lifted
   back.  Otherwise every minimizing cell of the arrangement of planes
@@ -164,6 +166,27 @@ def _pseudo_angle(v: Sequence[int]) -> float:
     return 1 - t if b > 0 or (b == 0 and a > 0) else 3 + t
 
 
+def _sort_by_angle(items: list) -> None:
+    """Sort items in place, stably and exactly, by the angle of ``(item[0], item[1])``.
+
+    The float sort is exact except where ``_pseudo_angle`` rounds rays
+    together or apart, so one pass checks each adjacent pair by half-plane
+    and cross sign, and only a pair out of order calls the exact comparison
+    sort.  Equal rays get equal float keys, so the order is that of
+    ``angular_cmp`` in either case.
+    """
+    items.sort(key=_pseudo_angle)
+    ph = -1
+    pa = pb = 0
+    for v in items:
+        a, b = v[0], v[1]
+        h = 0 if b > 0 or (b == 0 and a > 0) else 1
+        if h < ph or (h == ph and pa * b < pb * a):
+            items.sort(key=functools.cmp_to_key(angular_cmp))
+            return
+        ph, pa, pb = h, a, b
+
+
 def _groups_python(vecs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
     acc: dict[tuple[int, int], int] = {}
     for a, b in vecs:
@@ -171,9 +194,8 @@ def _groups_python(vecs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int
         g = math.gcd(a, b)
         key = (a // g, b // g)
         acc[key] = acc.get(key, 0) + 1
-    # the float pre-sort leaves the exact sort one already-sorted run to check
-    keys = sorted(acc, key=_pseudo_angle)
-    keys.sort(key=functools.cmp_to_key(angular_cmp))
+    keys = list(acc)
+    _sort_by_angle(keys)
     return keys, [acc[k] for k in keys]
 
 
@@ -324,9 +346,7 @@ def _circle_sides(d, dirs, weights) -> list:
         b = q0 * v0 + q1 * v1 + q2 * v2
         if a or b:
             items.append((a, b, w, k))
-    # the float pre-sort leaves the exact sort one already-sorted run to check
-    items.sort(key=_pseudo_angle)
-    items.sort(key=functools.cmp_to_key(angular_cmp))
+    _sort_by_angle(items)
     # directions on one ray are adjacent now; merge them into one group
     groups: list[tuple[int, int]] = []
     mult: list[int] = []

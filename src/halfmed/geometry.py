@@ -446,21 +446,27 @@ def convex_hull_2d(points: Sequence[Vec]) -> list[Vec]:
 
 
 def hull_halfspaces(ds: DataSet) -> list[Halfspace]:
-    """Closed halfspaces whose intersection is the convex hull (d <= 3)."""
-    d = ds.dim
-    pts = ds.points
-    if d == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        return [
-            Halfspace((Fraction(1),), lo),
-            Halfspace((Fraction(-1),), -hi),
-        ]
-    if d == 2:
-        return _hull_halfspaces_2d(pts)
-    if d == 3:
-        return _hull_halfspaces_3d(ds)
-    raise ValueError(f"hull halfspaces unsupported for dimension {d}")
+    """Closed halfspaces whose intersection is the convex hull (d <= 3).
+
+    Cached per dataset; every call returns a fresh list.
+    """
+    cached = ds._cache.get("hull")
+    if cached is None:
+        d = ds.dim
+        pts = ds.points
+        if d == 1:
+            cached = [
+                Halfspace((Fraction(1),), min(p[0] for p in pts)),
+                Halfspace((Fraction(-1),), -max(p[0] for p in pts)),
+            ]
+        elif d == 2:
+            cached = _hull_halfspaces_2d(pts)
+        elif d == 3:
+            cached = _hull_halfspaces_3d(ds)
+        else:
+            raise ValueError(f"hull halfspaces unsupported for dimension {d}")
+        ds._cache["hull"] = cached
+    return list(cached)
 
 
 def _box_halfspaces(pts: Sequence[Vec], dims: Sequence[int]) -> list[Halfspace]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from typing import Sequence
 
 from .depth import (
     _direction_ints,
+    _int_point,
     _split,
     depth_count,
     directional_quantile,
@@ -208,15 +210,16 @@ def _level_scope(ds: DataSet, deadline: float | None):
     """Share the level-independent work of one region or median call.
 
     While open, ``ds._cache`` holds the candidate line or plane table (built
-    on first use, under ``deadline``) and a vertex -> ``depth_count`` dict,
-    both valid at every level.  Nested calls join the open scope; leaving
-    the outermost one drops both, so neither outlives the call.
+    on first use, under ``deadline``), a vertex -> ``depth_count`` dict and
+    the rows sorted by their projection on each direction met (``_quantile``),
+    all valid at every level.  Nested calls join the open scope; leaving the
+    outermost one drops all three, so none outlives the call.
     """
     scope = ds._cache.get(_SCOPE)
     if scope is not None:
         yield scope
         return
-    scope = {"deadline": deadline, "planes": None, "counts": {}}
+    scope = {"deadline": deadline, "planes": None, "counts": {}, "sorted_rows": {}}
     ds._cache[_SCOPE] = scope
     try:
         yield scope
@@ -339,15 +342,40 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
 # cutting-plane region construction (d = 2 core)
 
 
+def _quantile(ds: DataSet, u: Vec, tau: Fraction) -> Fraction:
+    """``directional_quantile(ds, u, tau)``, read from the open scope's table.
+
+    The table sorts the integer rows ``r`` of ``ds.scaled_ints()`` by
+    ``p . r`` once per primitive direction ``p``, and keeps references to
+    the rows rather than one new integer per row.  For ``u = g p / uden``
+    the quantile is ``g p . r_k / (uden * scale)``, ``r_k`` the k-th row:
+    the same Fraction.  With no scope open the public function is called.
+    """
+    scope = ds._cache.get(_SCOPE)
+    if scope is None:
+        return directional_quantile(ds, u, tau)
+    uden, ui = _int_point(u)
+    g = math.gcd(*ui)
+    p = tuple(c // g for c in ui)
+    scale, rows = ds.scaled_ints()
+    ranked = scope["sorted_rows"].get(p)
+    if ranked is None:
+        projs = [sum(map(operator.mul, p, r)) for r in rows]
+        ranked = [rows[i] for i in sorted(range(len(rows)), key=projs.__getitem__)]
+        scope["sorted_rows"][p] = ranked
+    r = ranked[quantile_index(ds.n, tau) - 1]
+    return Fraction(g * sum(map(operator.mul, p, r)), uden * scale)
+
+
 def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
     d = ds.dim
     out = []
     for i in range(d):
         e = [Fraction(0)] * d
         e[i] = Fraction(1)
-        out.append(halfspace(tuple(e), directional_quantile(ds, tuple(e), tau)))
+        out.append(halfspace(tuple(e), _quantile(ds, tuple(e), tau)))
         e[i] = Fraction(-1)
-        out.append(halfspace(tuple(e), directional_quantile(ds, tuple(e), tau)))
+        out.append(halfspace(tuple(e), _quantile(ds, tuple(e), tau)))
     return out
 
 
@@ -427,7 +455,9 @@ def _region_by_cuts_2d(
     """Exact cutting-plane loop; returns the region and the cut directions.
 
     One integer polygon is carried through the rounds: the axis quantile
-    box, clipped by the seed cuts and then by each round's new cuts.
+    box, clipped by the seed cuts and then by each round's new cuts.  In an
+    open scope the depth counts of the region's vertices, all certified in
+    the last round, are left in the scope's ``counts``.
     """
     constraints = _axis_quantile_box(ds, tau)
     # a cut is new unless its primitive integer (normal, offset) was seen
@@ -449,7 +479,7 @@ def _region_by_cuts_2d(
         return True
 
     for u in seed_directions:
-        if admit(halfspace(u, directional_quantile(ds, u, tau))):
+        if admit(halfspace(u, _quantile(ds, u, tau))):
             directions.append(u)
     certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
@@ -477,19 +507,22 @@ def _region_by_cuts_2d(
             contact = _contact_location(ds, u_wit, k)
             cuts: list[Halfspace] = []
             for w in _bracketing_criticals_2d(ds, u_wit, contact):
-                qw = directional_quantile(ds, w, tau)
+                qw = _quantile(ds, w, tau)
                 if sum(wc * vc for wc, vc in zip(w, v)) < qw:
                     cuts.append(halfspace(w, qw))
             if not cuts:
                 # rare fallback: the raw witness quantile halfspace always
                 # separates v from the region
-                qu = directional_quantile(ds, u_wit, tau)
-                cuts.append(halfspace(u_wit, qu))
+                cuts.append(halfspace(u_wit, _quantile(ds, u_wit, tau)))
             for h in cuts:
                 if admit(h):
                     directions.append(h.normal)
         if not fresh:
-            return _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly), directions
+            region = _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly)
+            scope = ds._cache.get(_SCOPE)
+            if scope is not None:
+                scope["counts"].update(zip(region.vertices, map(certified.__getitem__, poly)))
+            return region, directions
     raise RuntimeError("cutting-plane region search failed to converge")
 
 
@@ -714,7 +747,8 @@ def depth_region(
         return RegionResult(_region_1d(ds, tau, k), tau, k, "cuts")
 
     if ds.dim == 2:
-        poly, _ = _region_by_cuts_2d(ds, tau, k, deadline)
+        with _level_scope(ds, deadline):
+            poly, _ = _region_by_cuts_2d(ds, tau, k, deadline)
         return RegionResult(poly, tau, k, "cuts")
 
     # d == 3
@@ -742,7 +776,8 @@ def depth_region(
     if len(basis) == 1:
         red = _region_1d(reduced_ds, tau, k)
     else:
-        red, _ = _region_by_cuts_2d(reduced_ds, tau, k, deadline)
+        with _level_scope(reduced_ds, deadline):
+            red, _ = _region_by_cuts_2d(reduced_ds, tau, k, deadline)
     poly = _lift_region(base, basis, red, 3)
     return RegionResult(poly, tau, k, "cuts")
 
@@ -757,14 +792,14 @@ def max_depth(ds: DataSet, deadline: float | None = None) -> Fraction:
 
 
 def _coordinatewise_median(ds: DataSet) -> Vec:
+    """Each coordinate's median: the mean of its order statistics
+    ``ceil(n/2)`` and ``floor(n/2) + 1``, which coincide for odd n."""
+    n = ds.n
     cols = []
     for j in range(ds.dim):
-        vals = sorted(p[j] for p in ds.points)
-        m = len(vals)
-        if m % 2:
-            cols.append(vals[m // 2])
-        else:
-            cols.append((vals[m // 2 - 1] + vals[m // 2]) / 2)
+        e = tuple(Fraction(int(i == j)) for i in range(ds.dim))
+        cols.append((_quantile(ds, e, Fraction((n + 1) // 2, n))
+                     + _quantile(ds, e, Fraction(n // 2 + 1, n))) / 2)
     return tuple(cols)
 
 
@@ -827,12 +862,10 @@ def _bisect_levels(
             k_lo = k_try
             best_poly = poly
             best_k = k_try
-            # region vertices often reveal deeper points; jump if so (in
-            # space on the loop's own counts, one a level at most)
-            deepest = max(
-                _vertex_count(ds, v, counts) if ds.dim == 2 else counts.get(v, 0)
-                for v in poly.vertices
-            )
+            # region vertices often reveal deeper points; jump if so, on
+            # the loops' own counts (every vertex in the plane, one a level
+            # at most in space)
+            deepest = max(counts.get(v, 0) for v in poly.vertices)
             if deepest > k_lo:
                 k_lo = deepest
                 best_k = None  # the floor must be re-established by a build

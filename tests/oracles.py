@@ -206,6 +206,16 @@ def reference_contact_location(ds: DataSet, u, k: int):
     return projs[k - 1][1]
 
 
+def reference_coordinatewise_median(ds: DataSet):
+    """Per coordinate, the middle Fraction, or the mean of the two middle ones."""
+    cols = []
+    for j in range(ds.dim):
+        vals = sorted(p[j] for p in ds.points)
+        m = len(vals)
+        cols.append(vals[m // 2] if m % 2 else (vals[m // 2 - 1] + vals[m // 2]) / 2)
+    return tuple(cols)
+
+
 def reference_bracketing_criticals_2d(ds: DataSet, u, contact):
     """Nearest perpendiculars of ``p - contact`` on each side of ``u``.
 

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import halfmed.breakdown as breakdown
+import halfmed.geometry as geometry
 from halfmed import (
     BREAKDOWN_CSV_HEADER,
     ContaminationPlan,
@@ -301,6 +302,20 @@ class TestHullCap:
             plan = build_attack(ds, u, distance=10**3)
             assert verify_attack(ds, plan).escaped
         assert calls == []
+
+    def test_clean_hull_is_built_once_per_dataset(self, monkeypatch):
+        builds = []
+        build = geometry._hull_halfspaces_2d
+
+        def counted(pts):
+            builds.append(len(pts))
+            return build(pts)
+
+        monkeypatch.setattr(geometry, "_hull_halfspaces_2d", counted)
+        ds = dataset([(0, 0), (4, 0), (0, 4), (4, 4), (1, 2), (2, 1), (3, 3)])
+        for distance in (10**3, 10**4, 10**5):
+            verify_attack(ds, build_attack(ds, (3, 1), distance=distance))
+        assert builds == [ds.n]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from halfmed.depth import (
     _query_vectors,
     _recount,
     _row_vectors,
+    _sort_by_angle,
     approximate_depth,
     depth_count,
     directional_quantile,
@@ -29,7 +30,8 @@ from halfmed.depth import (
     witness_cut,
 )
 from halfmed.distributions import degenerate_sampler, sample, uniform_ball
-from halfmed.geometry import canonical_direction, cross3, dataset, point, primitive
+from halfmed import depth
+from halfmed.geometry import angular_cmp, canonical_direction, cross3, dataset, point, primitive
 
 from oracles import (
     oracle_depth_count,
@@ -517,6 +519,44 @@ class TestHalfTurnSweep:
                     right = sum(w for t, w in zip(dots, weights) if t < 0)
                     left = sum(w for t, w in zip(dots, weights) if t > 0)
                     assert side == (right, left)
+
+
+    def test_circle_sides_fall_back_to_the_exact_sort(self, monkeypatch):
+        # seen along the z axis, (v0, v1, v2) projects to (v1, -v0): the
+        # first two directions project to rays that ``_pseudo_angle`` ties,
+        # listed against their angular order, so only the exact sort orders
+        # them; the small directions leave the float sort nothing to fix
+        big = 2**60
+        d = (0, 0, 1)
+        tied = [(-1, big, 5), (-1, big + 1, -2), (1, -big, 0), (0, 1, 0), (3, -2, 1), d]
+        small = [(1, 0, 2), (0, 1, -1), (-1, -1, 0), (2, -1, 3), (0, -1, 0), d]
+        assert _pseudo_angle((big, 1)) == _pseudo_angle((big + 1, 1))
+        exact_calls = []
+
+        def counted_cmp(a, b):
+            exact_calls.append(1)
+            return angular_cmp(a, b)
+
+        monkeypatch.setattr(depth, "angular_cmp", counted_cmp)
+        fell_back = []
+        for dirs in (tied, small):
+            weights = [1 + i % 3 for i in range(len(dirs))]
+            exact_calls.clear()
+            sides = _circle_sides(d, dirs, weights)
+            fell_back.append(bool(exact_calls))
+            for k, side in zip(dirs, sides):
+                e = cross3(d, k)
+                if e == (0, 0, 0):
+                    assert side is None
+                    continue
+                dots = [sum(a * b for a, b in zip(e, v)) for v in dirs]
+                right = sum(w for t, w in zip(dots, weights) if t < 0)
+                left = sum(w for t, w in zip(dots, weights) if t > 0)
+                assert side == (right, left)
+        assert fell_back == [True, False]
+        items: list = []
+        _sort_by_angle(items)
+        assert items == [] and _circle_sides(d, [d], [2]) == [None]
 
 
 def _degenerate_sets(rng):

@@ -279,6 +279,14 @@ class TestHullHalfspaces:
         hs = hull_halfspaces(ds)
         assert len(hs) == 3
 
+    def test_each_call_returns_a_fresh_list(self):
+        for ds in (dataset([(0,), (3,)]), dataset([(0, 0), (2, 0), (1, 1)]),
+                   dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])):
+            hs = hull_halfspaces(ds)
+            want = list(hs)
+            hs.clear()
+            assert hull_halfspaces(ds) == want
+
 
 class TestDatasetIO:
     def test_roundtrip_exact(self, tmp_path):

@@ -42,6 +42,7 @@ from oracles import (
     reference_candidate_planes_3d,
     reference_certificate_for,
     reference_contact_location,
+    reference_coordinatewise_median,
     reference_enumerate_irrotatable_2d,
     reference_enumerate_irrotatable_3d,
     reference_intersect_3d,
@@ -269,6 +270,16 @@ class TestCuttingHelpersMatchFractionFormulas:
     def test_tied_data(self):
         self._check(self.TIES)
 
+    def test_coordinatewise_median_inside_and_outside_a_scope(self):
+        rng = random.Random(98)
+        for dim in (2, 3):
+            for _ in range(10):
+                ds = random_dataset(rng, dim, max_n=9, dup_prob=0.4, collinear_prob=0.4)
+                want = reference_coordinatewise_median(ds)
+                assert regions._coordinatewise_median(ds) == want, ds.points
+                with regions._level_scope(ds, None):
+                    assert regions._coordinatewise_median(ds) == want, ds.points
+
     def test_random_degenerate_data(self):
         rng = random.Random(99)
         for _ in range(15):
@@ -319,6 +330,52 @@ class TestPolygonLoopMatchesReference:
         for seed in (1, 2):
             self._check(sample(uniform_ball(2), n=14, seed=seed, bits=21), seen)
         assert seen == {"empty", 1, 2, 3}
+
+    def test_one_scope_serves_every_level_in_any_order(self, monkeypatch):
+        # one open scope, whose projection table outlives each level, against
+        # the reference loop run outside any scope; the seeds include a
+        # non-primitive direction and the previous level's cuts
+        rng = random.Random(2034)
+        sets = self.DATASETS + [
+            random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4) for _ in range(6)
+        ]
+        sets += [sample(uniform_ball(2), n=14, seed=seed, bits=21) for seed in (3, 4)]
+        fixed = [(F(2), F(4)), (F(-1, 2), F(1)), (F(2), F(-3))]
+        for ds in sets:
+            n = ds.n
+            jobs, prev = [], []
+            for k in range(1, n + 1):
+                for seeds in ([], fixed, prev):
+                    want = reference_region_by_cuts_2d(ds, F(k, n), k, seeds)
+                    jobs.append((k, seeds, (repr(want[0]), want[1])))
+                prev = want[1]
+            rng.shuffle(jobs)
+            with monkeypatch.context() as m, regions._level_scope(ds, None) as scope:
+                # inside the scope every quantile comes from the table
+                m.setattr(regions, "directional_quantile", None)
+                for k, seeds, want in jobs:
+                    got = regions._region_by_cuts_2d(ds, F(k, n), k, None, seeds)
+                    assert (repr(got[0]), got[1]) == want, (ds.points, k, seeds)
+                assert scope["sorted_rows"] and scope["counts"]
+            # the loop leaves its vertices' exact counts in the scope
+            for v, cnt in scope["counts"].items():
+                assert cnt == oracle_depth_count(v, ds), (ds.points, v)
+            assert regions._SCOPE not in ds._cache
+
+    def test_planar_median_counts_one_point_only(self, monkeypatch):
+        # the deepest-vertex scan reads the counts the loop already has, so
+        # the coordinatewise median is the median's only separate query
+        calls = []
+
+        def counted(x, ds):
+            calls.append(x)
+            return depth_count(x, ds)
+
+        monkeypatch.setattr(regions, "depth_count", counted)
+        for ds in self.DATASETS + [sample(uniform_ball(2), n=30, seed=5, bits=21)]:
+            calls.clear()
+            median_region(ds)
+            assert calls == [regions._coordinatewise_median(ds)], ds.points
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +595,7 @@ class TestDeadlineAndCallScope:
             depth_region(ds, F(1, 4), deadline=time.monotonic() - 1)
         with pytest.raises(TimeoutError):
             median_region(ds, deadline=time.monotonic() - 1)
+        assert regions._SCOPE not in ds._cache
 
     def test_expired_deadline_stops_the_cutting_rounds(self):
         # the plane table is already built in the open scope, so the
@@ -553,10 +611,11 @@ class TestDeadlineAndCallScope:
                 )
 
     def test_plane_table_and_counts_do_not_outlive_the_call(self):
-        ds = dataset(CLUSTER_3D.points)
-        median_region(ds)
-        depth_region(ds, F(1, 4))
-        assert regions._SCOPE not in ds._cache
+        for points in (CLUSTER_3D.points, TestCuttingHelpersMatchFractionFormulas.TIES.points):
+            ds = dataset(points)
+            median_region(ds)
+            depth_region(ds, F(1, 4))
+            assert regions._SCOPE not in ds._cache
 
 
 # ---------------------------------------------------------------------------
