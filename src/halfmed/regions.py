@@ -36,6 +36,7 @@ thousands of points and tolerates degenerate (affinely deficient) data.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import math
@@ -50,7 +51,6 @@ from .depth import (
     _int_point,
     _split,
     depth_count,
-    directional_quantile,
     median_interval_1d,
     quantile_index,
     witness_cut,
@@ -211,9 +211,10 @@ def _level_scope(ds: DataSet, deadline: float | None):
 
     While open, ``ds._cache`` holds the candidate line or plane table (built
     on first use, under ``deadline``), a vertex -> ``depth_count`` dict and
-    the rows sorted by their projection on each direction met (``_quantile``),
-    all valid at every level.  Nested calls join the open scope; leaving the
-    outermost one drops all three, so none outlives the call.
+    the rows sorted by their projection on each quantile direction met
+    (``_quantile_cut``), all valid at every level.  Nested calls join the
+    open scope; leaving the outermost one drops all three, so none outlives
+    the call.
     """
     scope = ds._cache.get(_SCOPE)
     if scope is not None:
@@ -342,29 +343,31 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
 # cutting-plane region construction (d = 2 core)
 
 
-def _quantile(ds: DataSet, u: Vec, tau: Fraction) -> Fraction:
-    """``directional_quantile(ds, u, tau)``, read from the open scope's table.
+def _quantile_cut(
+    ds: DataSet, u: Vec, tau: Fraction
+) -> tuple[Halfspace, tuple[tuple[int, ...], int]]:
+    """The halfspace ``u . x >= directional_quantile(ds, u, tau)``, and its
+    integer form ``scale p . x >= p . r_k``.
 
-    The table sorts the integer rows ``r`` of ``ds.scaled_ints()`` by
-    ``p . r`` once per primitive direction ``p``, and keeps references to
-    the rows rather than one new integer per row.  For ``u = g p / uden``
-    the quantile is ``g p . r_k / (uden * scale)``, ``r_k`` the k-th row:
-    the same Fraction.  With no scope open the public function is called.
+    An open scope keeps the integer rows ``r`` of ``ds.scaled_ints()``
+    sorted by ``p . r``, once per primitive direction ``p``, as references
+    to the rows rather than one new integer per row; with no scope open
+    they are sorted for this call only.  For ``u = g p / uden`` and ``r_k``
+    the k-th row, the quantile is ``g p . r_k / (uden * scale)``: the same
+    Fraction.  The integer form is the halfspace times ``uden * scale / g``.
     """
-    scope = ds._cache.get(_SCOPE)
-    if scope is None:
-        return directional_quantile(ds, u, tau)
     uden, ui = _int_point(u)
     g = math.gcd(*ui)
     p = tuple(c // g for c in ui)
     scale, rows = ds.scaled_ints()
-    ranked = scope["sorted_rows"].get(p)
+    scope = ds._cache.get(_SCOPE)
+    table = {} if scope is None else scope["sorted_rows"]
+    ranked = table.get(p)
     if ranked is None:
         projs = [sum(map(operator.mul, p, r)) for r in rows]
-        ranked = [rows[i] for i in sorted(range(len(rows)), key=projs.__getitem__)]
-        scope["sorted_rows"][p] = ranked
-    r = ranked[quantile_index(ds.n, tau) - 1]
-    return Fraction(g * sum(map(operator.mul, p, r)), uden * scale)
+        ranked = table[p] = [rows[i] for i in sorted(range(len(rows)), key=projs.__getitem__)]
+    pk = sum(map(operator.mul, p, ranked[quantile_index(ds.n, tau) - 1]))
+    return halfspace(u, Fraction(g * pk, uden * scale)), (tuple(scale * c for c in p), pk)
 
 
 def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
@@ -373,9 +376,9 @@ def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
     for i in range(d):
         e = [Fraction(0)] * d
         e[i] = Fraction(1)
-        out.append(halfspace(tuple(e), _quantile(ds, tuple(e), tau)))
+        out.append(_quantile_cut(ds, tuple(e), tau)[0])
         e[i] = Fraction(-1)
-        out.append(halfspace(tuple(e), _quantile(ds, tuple(e), tau)))
+        out.append(_quantile_cut(ds, tuple(e), tau)[0])
     return out
 
 
@@ -383,12 +386,17 @@ def _contact_location(ds: DataSet, u: Vec, k: int) -> Vec:
     """A location attaining the k-th smallest projection under ``u``.
 
     The k-th entry of the points sorted by (projection, location): among
-    equal projections the lexicographically smallest location wins.
+    equal projections the lexicographically smallest location wins.  The
+    k-th projection is read from the sorted projections, and only the rows
+    tied with it are sorted by location.
     """
     ux, uy = _direction_ints(u)
     _, rows = ds.scaled_ints()
-    projs = sorted((ux * r[0] + uy * r[1], r, i) for i, r in enumerate(rows))
-    return ds.points[projs[k - 1][2]]
+    projs = [ux * x + uy * y for x, y in rows]
+    ranked = sorted(projs)
+    q = ranked[k - 1]
+    tied = sorted((r, i) for i, (r, t) in enumerate(zip(rows, projs)) if t == q)
+    return ds.points[tied[k - 1 - bisect.bisect_left(ranked, q)][1]]
 
 
 def _distinct_rows(ds: DataSet) -> list[tuple[int, ...]]:
@@ -468,8 +476,8 @@ def _region_by_cuts_2d(
     directions: list[Vec] = []
     fresh: list[tuple[tuple[int, ...], int]] = []
 
-    def admit(h: Halfspace) -> bool:
-        ((normal, offset),) = _int_halfspaces([h])
+    def admit(cut: tuple[Halfspace, tuple[tuple[int, ...], int]]) -> bool:
+        h, (normal, offset) = cut
         key = primitive((*normal, offset))
         if key in seen_keys:
             return False
@@ -479,7 +487,7 @@ def _region_by_cuts_2d(
         return True
 
     for u in seed_directions:
-        if admit(halfspace(u, _quantile(ds, u, tau))):
+        if admit(_quantile_cut(ds, u, tau)):
             directions.append(u)
     certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
@@ -498,25 +506,25 @@ def _region_by_cuts_2d(
                 certified[hv] = cnt
             if cnt >= k:
                 continue
-            v = _hpoint(hv)
             if u_wit is None:
-                _, u_wit = witness_cut(v, ds)
+                _, u_wit = witness_cut(_hpoint(hv), ds)
             # tighten the witness direction to the bracketing critical
             # directions of its quantile-contact arc; they cut at least as
             # deep and come from a finite family (termination)
             contact = _contact_location(ds, u_wit, k)
-            cuts: list[Halfspace] = []
+            cuts = []
             for w in _bracketing_criticals_2d(ds, u_wit, contact):
-                qw = _quantile(ds, w, tau)
-                if sum(wc * vc for wc, vc in zip(w, v)) < qw:
-                    cuts.append(halfspace(w, qw))
+                cut = _quantile_cut(ds, w, tau)
+                (a, b), c = cut[1]
+                if a * hv[0] + b * hv[1] < c * hv[2]:
+                    cuts.append(cut)
             if not cuts:
                 # rare fallback: the raw witness quantile halfspace always
                 # separates v from the region
-                cuts.append(halfspace(u_wit, _quantile(ds, u_wit, tau)))
-            for h in cuts:
-                if admit(h):
-                    directions.append(h.normal)
+                cuts.append(_quantile_cut(ds, u_wit, tau))
+            for cut in cuts:
+                if admit(cut):
+                    directions.append(cut[0].normal)
         if not fresh:
             region = _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly)
             scope = ds._cache.get(_SCOPE)
@@ -798,8 +806,8 @@ def _coordinatewise_median(ds: DataSet) -> Vec:
     cols = []
     for j in range(ds.dim):
         e = tuple(Fraction(int(i == j)) for i in range(ds.dim))
-        cols.append((_quantile(ds, e, Fraction((n + 1) // 2, n))
-                     + _quantile(ds, e, Fraction(n // 2 + 1, n))) / 2)
+        cols.append((_quantile_cut(ds, e, Fraction((n + 1) // 2, n))[0].offset
+                     + _quantile_cut(ds, e, Fraction(n // 2 + 1, n))[0].offset) / 2)
     return tuple(cols)
 
 
@@ -834,7 +842,16 @@ def median_region(
 def _bisect_levels(
     ds: DataSet, deadline: float | None, counts: dict[Vec, int]
 ) -> tuple[Polytope, int]:
-    """The deepest nonempty level k and its region (d = 2 or 3)."""
+    """The deepest nonempty level k and its region (d = 2 or 3).
+
+    The coordinatewise median's depth count certifies the floor ``k_lo``
+    with no build, and the levels above it are bisected up to the first
+    level known empty.  A nonempty level raises the floor to itself, or to
+    its deepest vertex on the loops' own counts.  The floor's region is
+    built at the end, and only if no build returned it: when every level
+    tried above it came back empty, or when a jump landed on it.  Each
+    build is seeded with the previous build's cut directions.
+    """
     n = ds.n
     seeds: list[Vec] = []
 
@@ -846,32 +863,26 @@ def _bisect_levels(
             return poly
         return depth_region(ds, Fraction(k, n), deadline=deadline).polytope
 
-    # the coordinatewise median supplies a certified nonempty starting level
     k_lo = max(depth_count(_coordinatewise_median(ds), ds), 1)
     k_hi = n + 1  # first level known (or assumed) empty
-    best_poly: Polytope | None = None
-    best_k: int | None = None
-    while k_lo + 1 < k_hi or best_k != k_lo:
-        k_try = (k_lo + k_hi) // 2 if best_k == k_lo else k_lo
+    best: tuple[Polytope, int] | None = None
+    while k_lo + 1 < k_hi:
+        k_try = (k_lo + k_hi) // 2
         poly = build(k_try)
         if poly.empty:
-            if k_try == k_lo:
-                raise RuntimeError("level certified feasible came back empty")
             k_hi = k_try
         else:
-            k_lo = k_try
-            best_poly = poly
-            best_k = k_try
+            best = poly, k_try
             # region vertices often reveal deeper points; jump if so, on
             # the loops' own counts (every vertex in the plane, one a level
             # at most in space)
-            deepest = max(counts.get(v, 0) for v in poly.vertices)
-            if deepest > k_lo:
-                k_lo = deepest
-                best_k = None  # the floor must be re-established by a build
-    if best_poly is None or best_k is None:
-        raise RuntimeError("median search ended without a certified level")
-    return best_poly, best_k
+            k_lo = max([k_try] + [counts.get(v, 0) for v in poly.vertices])
+    if best is None or best[1] != k_lo:
+        poly = build(k_lo)
+        if poly.empty:
+            raise RuntimeError("level certified feasible came back empty")
+        best = poly, k_lo
+    return best
 
 
 def halfspace_median(ds: DataSet, average: str = "barycenter") -> Vec:

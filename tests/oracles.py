@@ -1001,3 +1001,44 @@ def reference_sup_depth_on_hull(clean: DataSet, contaminated: DataSet) -> Fracti
         else:
             hi = mid - 1
     return Fraction(lo, total)
+
+
+# ---------------------------------------------------------------------------
+# reference median level search
+
+
+def reference_bisect_levels(ds: DataSet, deadline=None, counts=None):
+    """The median level search as first written: it builds the floor that
+    the coordinatewise median certifies, and builds the floor again after
+    every deepest-vertex jump before it bisects further."""
+    from halfmed import regions
+
+    counts = {} if counts is None else counts
+    n = ds.n
+    seeds = []
+
+    def build(k):
+        nonlocal seeds
+        if ds.dim == 2:
+            poly, seeds = regions._region_by_cuts_2d(ds, Fraction(k, n), k, deadline, seeds)
+            return poly
+        return regions.depth_region(ds, Fraction(k, n), deadline=deadline).polytope
+
+    k_lo = max(regions.depth_count(regions._coordinatewise_median(ds), ds), 1)
+    k_hi = n + 1
+    best_poly = best_k = None
+    while k_lo + 1 < k_hi or best_k != k_lo:
+        k_try = (k_lo + k_hi) // 2 if best_k == k_lo else k_lo
+        poly = build(k_try)
+        if poly.empty:
+            if k_try == k_lo:
+                raise RuntimeError("level certified feasible came back empty")
+            k_hi = k_try
+        else:
+            k_lo = best_k = k_try
+            best_poly = poly
+            deepest = max(counts.get(v, 0) for v in poly.vertices)
+            if deepest > k_lo:
+                k_lo = deepest
+                best_k = None
+    return best_poly, best_k

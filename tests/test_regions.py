@@ -38,6 +38,7 @@ from oracles import (
     oracle_depth_count,
     random_dataset,
     random_probe,
+    reference_bisect_levels,
     reference_bracketing_criticals_2d,
     reference_candidate_planes_3d,
     reference_certificate_for,
@@ -331,7 +332,7 @@ class TestPolygonLoopMatchesReference:
             self._check(sample(uniform_ball(2), n=14, seed=seed, bits=21), seen)
         assert seen == {"empty", 1, 2, 3}
 
-    def test_one_scope_serves_every_level_in_any_order(self, monkeypatch):
+    def test_one_scope_serves_every_level_in_any_order(self):
         # one open scope, whose projection table outlives each level, against
         # the reference loop run outside any scope; the seeds include a
         # non-primitive direction and the previous level's cuts
@@ -350,9 +351,7 @@ class TestPolygonLoopMatchesReference:
                     jobs.append((k, seeds, (repr(want[0]), want[1])))
                 prev = want[1]
             rng.shuffle(jobs)
-            with monkeypatch.context() as m, regions._level_scope(ds, None) as scope:
-                # inside the scope every quantile comes from the table
-                m.setattr(regions, "directional_quantile", None)
+            with regions._level_scope(ds, None) as scope:
                 for k, seeds, want in jobs:
                     got = regions._region_by_cuts_2d(ds, F(k, n), k, None, seeds)
                     assert (repr(got[0]), got[1]) == want, (ds.points, k, seeds)
@@ -576,6 +575,107 @@ class TestCuttingLoop3DMatchesReference:
                     assert excluded == (depth_count(x, ds) < k), (ds.points, k, x)
                     shallow.add(excluded)
                 assert shallow == {True, False}
+
+
+def _level_search_2d_sets():
+    """Sampled ball sets, degenerate sets with duplicated and collinear
+    points, and small grids with n = 3 ... 12."""
+    rng = random.Random(2035)
+    sets = [DS_A, DS_B, TRIANGLE, TestCuttingHelpersMatchFractionFormulas.TIES]
+    sets += TestPolygonLoopMatchesReference.DATASETS[2:]
+    sets += [random_dataset(rng, 2, max_n=12, dup_prob=0.4, collinear_prob=0.4) for _ in range(20)]
+    for n in range(3, 13):
+        sets.append(dataset([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]))
+    sets += [sample(uniform_ball(2), n=n, seed=seed, bits=21) for n in (15, 40) for seed in (1, 2)]
+    return sets
+
+
+class TestLevelSearchMatchesReference:
+    """The level search that certifies its floor by the coordinatewise
+    median's count, against the one that builds the floor first and again
+    after every deepest-vertex jump.  The deepest level and its region are
+    the same; in the plane the recorded cuts may differ, as each build is
+    seeded by the one before."""
+
+    @staticmethod
+    def _search(ds, bisect):
+        with regions._level_scope(ds, None) as scope:
+            return bisect(ds, None, scope["counts"])
+
+    def test_same_level_vertices_and_median_2d(self):
+        for ds in _level_search_2d_sets():
+            got = self._search(ds, regions._bisect_levels)
+            want = self._search(ds, reference_bisect_levels)
+            assert got[1] == want[1], ds.points
+            assert got[0].vertices == want[0].vertices, ds.points
+            assert polytope.barycenter(got[0]) == polytope.barycenter(want[0])
+            assert median_region(ds).median == polytope.barycenter(want[0])
+
+    def test_same_reprs_3d(self):
+        sets = _cutting_loop_3d_sets() + [dataset(CLUSTER_3D.points[:6] * 2)]
+        for ds in sets:
+            got = self._search(ds, regions._bisect_levels)
+            want = self._search(ds, reference_bisect_levels)
+            assert (repr(got[0]), got[1]) == (repr(want[0]), want[1]), ds.points
+
+    def test_floor_build_and_deepest_vertex_jump(self, monkeypatch):
+        # both ends of the search occur: a maximal level equal to the
+        # certified floor, whose region is built last, and a jump on the
+        # counts of a nonempty level's vertices
+        loop = regions._region_by_cuts_2d
+        built = []
+
+        def counted(ds, tau, k, *args):
+            out = loop(ds, tau, k, *args)
+            built.append((k, out[0]))
+            return out
+
+        monkeypatch.setattr(regions, "_region_by_cuts_2d", counted)
+        seen = set()
+        for ds in _level_search_2d_sets():
+            built.clear()
+            floor = max(depth_count(regions._coordinatewise_median(ds), ds), 1)
+            with regions._level_scope(ds, None) as scope:
+                poly, k_star = regions._bisect_levels(ds, None, scope["counts"])
+                if k_star == floor:
+                    seen.add("floor")
+                    assert built[-1] == (floor, poly)
+                    assert all(p.empty for k, p in built[:-1]), ds.points
+                for k, p in built:
+                    if not p.empty and max(scope["counts"][v] for v in p.vertices) > k:
+                        seen.add("jump")
+            assert k_star == reference_bisect_levels(ds)[1], ds.points
+        assert seen == {"floor", "jump"}
+
+    def test_floor_is_not_built_below_a_nonempty_level(self, monkeypatch):
+        loop = regions._region_by_cuts_2d
+        levels = []
+
+        def counted(ds, tau, k, *args):
+            levels.append(k)
+            return loop(ds, tau, k, *args)
+
+        monkeypatch.setattr(regions, "_region_by_cuts_2d", counted)
+        deeper = 0
+        for ds in _level_search_2d_sets():
+            levels.clear()
+            floor = max(depth_count(regions._coordinatewise_median(ds), ds), 1)
+            k_star = int(median_region(ds).lambda_star * ds.n)
+            # every level built is distinct; the floor only when it is k*
+            assert len(levels) == len(set(levels)), (ds.points, levels)
+            if k_star > floor:
+                deeper += 1
+                assert floor not in levels, (ds.points, levels)
+        assert deeper >= 10
+
+    def test_expired_deadline_raises_when_only_the_floor_is_built(self):
+        # every point at one location: the floor is n, no level lies above
+        # it, and the final floor build is the search's only build
+        ds = dataset([(1, 2)] * 5)
+        assert median_region(ds).lambda_star == 1
+        with pytest.raises(TimeoutError):
+            median_region(ds, deadline=time.monotonic() - 1)
+        assert regions._SCOPE not in ds._cache
 
 
 class TestDeadlineAndCallScope:
