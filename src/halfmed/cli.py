@@ -154,7 +154,7 @@ def _cmd_median(args) -> int:
     ds = _load_dataset(args)
     res = median_region(ds)
     print(f"lambda*  {format_rational(res.lambda_star)}  (maximal depth)")
-    print(f"median   {_fmt(res.median)}  ({res.average} average)")
+    print(f"median   {_fmt(res.median)}  (barycenter average)")
     print(f"region   {len(res.region.vertices)} vertices")
     for v in res.region.vertices:
         print("  vertex " + _fmt(v))

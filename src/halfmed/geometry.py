@@ -344,6 +344,81 @@ def affine_dimension(ds: DataSet | Sequence[Sequence[Fraction]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the affine-hull frame of points on a line or plane in space
+
+
+@dataclass(frozen=True)
+class AffineFrame:
+    """Exact coordinates on the affine hull of a line or plane in space.
+
+    ``basis`` holds the first nonzero difference from ``base`` and, for a
+    plane, the first difference off that line.  The point ``base + B y``
+    has the coordinates ``y``, which ``coords`` recovers from the Gram
+    system ``(B^T B) y = B^T (x - base)``.
+    """
+
+    base: Vec
+    basis: tuple[Vec, ...]
+
+    def _gram_solve(self, rhs: Sequence[Fraction]) -> Vec:
+        if len(self.basis) == 1:
+            (b,) = self.basis
+            return (rhs[0] / dot(b, b),)
+        b1, b2 = self.basis
+        g11, g12, g22 = dot(b1, b1), dot(b1, b2), dot(b2, b2)
+        det = g11 * g22 - g12 * g12
+        return ((g22 * rhs[0] - g12 * rhs[1]) / det, (g11 * rhs[1] - g12 * rhs[0]) / det)
+
+    def coords(self, x: Sequence[Fraction]) -> Vec:
+        diff = vsub(x, self.base)
+        return self._gram_solve([dot(b, diff) for b in self.basis])
+
+    def _span(self, y: Sequence[Fraction]) -> Vec:
+        return tuple(sum(yc * b[j] for yc, b in zip(y, self.basis)) for j in range(3))
+
+    def point(self, y: Sequence[Fraction]) -> Vec:
+        return tuple(bc + sc for bc, sc in zip(self.base, self._span(y)))
+
+    def halfspace(self, h: Halfspace) -> Halfspace:
+        """The halfspace whose normal lies in the basis's span and which
+        meets the hull in the reduced halfspace ``h``."""
+        w = self._span(self._gram_solve(h.normal))
+        return halfspace(w, h.offset + dot(w, self.base))
+
+    def equations(self) -> list[Halfspace]:
+        """Pairs of opposite halfspaces whose intersection is the hull."""
+        if len(self.basis) == 2:
+            normals = [cross3(*self.basis)]
+        else:
+            (b,) = self.basis
+            n1 = next(c for c in (cross3(b, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+                      if not is_zero_vec(c))
+            normals = [n1, cross3(b, n1)]
+        out = []
+        for nrm in normals:
+            off = dot(nrm, self.base)
+            out += [halfspace(nrm, off), halfspace(tuple(-c for c in nrm), -off)]
+        return out
+
+
+def reduce_dataset(ds: DataSet) -> tuple[AffineFrame, DataSet]:
+    """The frame of a 3-D dataset of affine dimension 1 or 2, and the data
+    in its coordinates (same order, so same multiplicities)."""
+    base = ds.points[0]
+    basis: list[Vec] = []
+    for p in ds.points[1:]:
+        v = vsub(p, base)
+        if not basis:
+            if not is_zero_vec(v):
+                basis.append(v)
+        elif not is_zero_vec(cross3(basis[0], v)):
+            basis.append(v)
+            break
+    frame = AffineFrame(base, tuple(basis))
+    return frame, DataSet(tuple(frame.coords(p) for p in ds.points))
+
+
+# ---------------------------------------------------------------------------
 # convex hull membership via exact linear feasibility
 
 
@@ -504,52 +579,13 @@ def _hull_halfspaces_2d(pts: Sequence[Vec]) -> list[Halfspace]:
 
 
 def _hull_halfspaces_3d(ds: DataSet) -> list[Halfspace]:
-    pts = ds.points
     adim = affine_dimension(ds)
     if adim == 0:
-        return _box_halfspaces(pts, (0, 1, 2))
-    if adim == 1:
-        uniq = sorted(set(pts))
-        a, b = uniq[0], uniq[-1]
-        t = vsub(b, a)
-        # two independent normals pin the carrier line, two ends cap it
-        k = min(range(3), key=lambda j: abs(t[j]))
-        e = tuple(Fraction(1 if j == k else 0) for j in range(3))
-        n1 = cross3(t, e)
-        n2 = cross3(t, n1)
-        out = []
-        for nvec in (n1, n2):
-            c = dot(nvec, a)
-            out.append(Halfspace(nvec, c))
-            out.append(Halfspace(tuple(-x for x in nvec), -c))
-        out.append(Halfspace(t, dot(t, a)))
-        out.append(Halfspace(tuple(-x for x in t), -dot(t, b)))
-        return out
-    if adim == 2:
-        base = pts[0]
-        other = next(p for p in pts if p != base)
-        b1 = vsub(other, base)
-        b2 = None
-        for p in pts:
-            v = vsub(p, base)
-            c = cross3(b1, v)
-            if not is_zero_vec(c):
-                b2 = v
-                nrm = c
-                break
-        if b2 is None:
-            raise RuntimeError("planar 3-D data has no second independent direction")
-        coords2 = [(dot(b1, vsub(p, base)), dot(b2, vsub(p, base))) for p in pts]
-        out = [
-            Halfspace(nrm, dot(nrm, base)),
-            Halfspace(tuple(-x for x in nrm), -dot(nrm, base)),
-        ]
-        for h2 in _hull_halfspaces_2d(coords2):
-            m1, m2 = h2.normal
-            n3 = tuple(m1 * x + m2 * y for x, y in zip(b1, b2))
-            off = min(dot(n3, p) for p in pts)
-            out.append(Halfspace(n3, off))
-        return out
+        return _box_halfspaces(ds.points, (0, 1, 2))
+    if adim < 3:
+        # the 1-D or 2-D hull of the reduced points, lifted into the flat
+        frame, reduced = reduce_dataset(ds)
+        return frame.equations() + [frame.halfspace(h) for h in hull_halfspaces(reduced)]
 
     scale, rows = ds.scaled_ints()
     uniq = sorted(set(rows))

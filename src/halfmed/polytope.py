@@ -29,8 +29,8 @@ from .geometry import (
     Halfspace,
     Vec,
     convex_hull_2d,
+    cross2,
     cross3,
-    dot,
     dot3,
     format_rational,
     matrix_rank,
@@ -374,8 +374,9 @@ def clip_polygon(vertices: Sequence[Vec], h: Halfspace) -> list[Vec]:
 def barycenter(poly: Polytope) -> Vec:
     """Centroid of the uniform measure on the polytope.
 
-    Vertex average for 0- and 1-dimensional sets, exact area or volume
-    weighting for full-dimensional ones.
+    Vertex average for 0- and 1-dimensional sets, exact area weighting for
+    polygons (in the plane or flat in space), exact volume weighting for
+    solids.
     """
     if poly.empty:
         raise ValueError("empty polytope has no barycenter")
@@ -396,45 +397,22 @@ def _centroid_of_vertices(verts: list[Vec], adim: int | None, halfspaces) -> Vec
     if adim in (0, 1) or n <= 2:
         return tuple(sum(col, Fraction(0)) / n for col in zip(*verts))
     d = len(verts[0])
+    if adim == 3:
+        return _polyhedron_centroid(verts, halfspaces)
+    # a convex polygon, in the plane or flat in space: a fan of triangles
+    # from its first vertex, weighted by their signed areas (in space, each
+    # area's component along one normal of the polygon's plane)
+    cycle = verts if d == 2 else _order_planar_cycle(verts)
+    a = cycle[0]
+    edges = [vsub(v, a) for v in cycle[1:]]
     if d == 2:
-        return _polygon_centroid(verts)
-    if adim == 2:
-        # planar polygon embedded in 3-space: compute in plane coordinates
-        base = verts[0]
-        b1 = vsub(verts[1], base)
-        normal = None
-        for v in verts[2:]:
-            c = cross3(b1, vsub(v, base))
-            if any(x != 0 for x in c):
-                normal = c
-                break
-        if normal is None:
-            raise RuntimeError("a 2-dimensional face needs two independent edges")
-        b2 = cross3(normal, b1)
-        g11, g12, g22 = dot(b1, b1), dot(b1, b2), dot(b2, b2)
-        coords = [(dot(b1, vsub(v, base)), dot(b2, vsub(v, base))) for v in verts]
-        # plane coordinates are affine, so the area centroid maps back affinely
-        cx, cy = _polygon_centroid(convex_hull_2d(coords))
-        det = g11 * g22 - g12 * g12
-        alpha = (cx * g22 - cy * g12) / det
-        beta = (g11 * cy - g12 * cx) / det
-        return tuple(bc + alpha * x + beta * y for bc, x, y in zip(base, b1, b2))
-    return _polyhedron_centroid(verts, halfspaces)
-
-
-def _polygon_centroid(verts: Sequence[Vec]) -> Vec:
-    a2 = Fraction(0)  # twice the signed area
-    cx = Fraction(0)
-    cy = Fraction(0)
-    for (x0, y0), (x1, y1) in zip(verts, list(verts[1:]) + [verts[0]]):
-        w = x0 * y1 - x1 * y0
-        a2 += w
-        cx += (x0 + x1) * w
-        cy += (y0 + y1) * w
-    if a2 == 0:  # safety net, callers pass genuinely 2-dimensional polygons
-        n = len(verts)
-        return (sum(v[0] for v in verts) / n, sum(v[1] for v in verts) / n)
-    return (cx / (3 * a2), cy / (3 * a2))
+        areas = [cross2(u, v) for u, v in zip(edges, edges[1:])]
+    else:
+        normal = cross3(edges[0], edges[1])
+        areas = [dot3(normal, cross3(u, v)) for u, v in zip(edges, edges[1:])]
+    tris = list(zip(areas, cycle[1:], cycle[2:]))
+    total = 3 * sum(areas)
+    return tuple(sum(s * (a[i] + b[i] + c[i]) for s, b, c in tris) / total for i in range(d))
 
 
 def _polyhedron_centroid(verts: list[Vec], halfspaces) -> Vec:

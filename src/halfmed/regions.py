@@ -1,6 +1,6 @@
 """Depth regions as explicit convex polytopes, and the deepest-point median.
 
-Two independent construction routes are provided:
+Two construction routes are provided:
 
 * **certificates** — enumerate every *non-rotatable* supporting halfspace: a
   closed halfspace that (a) strictly cuts off at most ``ceil(n*tau) - 1``
@@ -30,8 +30,16 @@ Two independent construction routes are provided:
   and none once a point of that depth is known.  A shallow one shows the
   level to be empty.
 
-Both routes return identical polytopes; the cutting route scales to
-thousands of points and tolerates degenerate (affinely deficient) data.
+The routes are independent in the plane only: in space the cutting loop
+cuts with the certificate family.  Both return identical polytopes; the
+cutting route scales to thousands of points and tolerates degenerate
+(affinely deficient) data.
+
+3-D data on a line or a plane are reduced once per call, at the entry of
+``depth_region`` and ``median_region``, to the coordinates of their affine
+hull (``geometry.reduce_dataset``).  The region is solved there, in 1-D or
+2-D, and lifted back within the hull's equations.  So the 3-D cutting loop
+and the median's level search in space see only full-dimensional data.
 """
 
 from __future__ import annotations
@@ -56,16 +64,17 @@ from .depth import (
     witness_cut,
 )
 from .geometry import (
+    AffineFrame,
     DataSet,
     Halfspace,
     Vec,
+    _box_halfspaces,
     affine_dimension,
     as_fraction,
     cross3,
-    dataset,
     halfspace,
-    matrix_rank,
     primitive,
+    reduce_dataset,
     vsub,
 )
 from .polytope import (
@@ -82,7 +91,6 @@ from .polytope import (
     barycenter,
     dedup_halfspaces,
     intersect_halfspaces,
-    vertex_centroid,
 )
 
 _MAX_CUT_ROUNDS = 500
@@ -122,7 +130,6 @@ class MedianResult:
     region: Polytope
     lambda_star: Fraction
     median: Vec
-    average: str
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +235,11 @@ def _level_scope(ds: DataSet, deadline: float | None):
         del ds._cache[_SCOPE]
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("region construction exceeded its deadline")
+
+
 def _vertex_count(ds: DataSet, v: Vec, counts: dict[Vec, int]) -> int:
     cnt = counts.get(v)
     if cnt is None:
@@ -276,8 +288,7 @@ def _plane_table(ds: DataSet, deadline: float | None):
             continue
         seen.add((p, off))
         seen.add((tuple(map(operator.neg, p)), -off))
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("region construction exceeded its deadline")
+        _check_deadline(deadline)
         cut, boundary = _split(rows, p, off)
         records = _sweep_records(rows, p, boundary)
         h = Halfspace(tuple(Fraction(x, sn) for x in u), Fraction(uoff, so))
@@ -491,8 +502,7 @@ def _region_by_cuts_2d(
             directions.append(u)
     certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("region construction exceeded its deadline")
+        _check_deadline(deadline)
         for normal, offset in fresh:
             poly = _clip(poly, normal, offset)
         if not poly:
@@ -535,97 +545,16 @@ def _region_by_cuts_2d(
 
 
 # ---------------------------------------------------------------------------
-# degenerate-data reduction (exact affine coordinates and lift)
+# data on a line or plane in space: solved in the affine hull's coordinates
 
 
-def _affine_frame(ds: DataSet):
-    """(base point, exact basis of difference space) for the affine hull."""
-    pts = ds.points
-    base = pts[0]
-    basis: list[Vec] = []
-    for p in pts[1:]:
-        cand = tuple(pc - bc for pc, bc in zip(p, base))
-        trial = basis + [cand]
-        if matrix_rank(trial) == len(trial):
-            basis.append(cand)
-    return base, basis
-
-
-def _solve_gram(basis: list[Vec], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve (B^T B) alpha = rhs for the (independent) basis columns."""
-    m = len(basis)
-    g = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(m)] for i in range(m)]
-    aug = [row + [rhs[i]] for i, row in enumerate(g)]
-    for c in range(m):
-        piv = next(i for i in range(c, m) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [a / pv for a in aug[c]]
-        for i in range(m):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][m] for i in range(m)]
-
-
-def _reduce_points(ds: DataSet, base: Vec, basis: list[Vec]) -> DataSet:
-    reduced = []
-    for p in ds.points:
-        diff = tuple(pc - bc for pc, bc in zip(p, base))
-        rhs = [sum(bc * dc for bc, dc in zip(bv, diff)) for bv in basis]
-        reduced.append(tuple(_solve_gram(basis, rhs)))
-    return dataset(reduced)
-
-
-def _complement_normals(basis: list[Vec], dim: int) -> list[Vec]:
-    """Exact spanning set of the orthogonal complement of the basis."""
-    if dim != 3:
-        raise ValueError("complement construction implemented for ambient d=3")
-    if len(basis) == 2:
-        return [cross3(basis[0], basis[1])]
-    if len(basis) == 1:
-        b = basis[0]
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            n1 = cross3(b, e)
-            if any(c != 0 for c in n1):
-                return [n1, cross3(b, n1)]
-    if len(basis) == 0:
-        return [(Fraction(1), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1))]
-    raise ValueError("unexpected basis size")
-
-
-def _lift_region(
-    base: Vec, basis: list[Vec], reduced: Polytope, ambient_dim: int
-) -> Polytope:
-    """Exact ambient polytope for a region solved in affine-hull coordinates."""
-    plane_hs: list[Halfspace] = []
-    for nrm in _complement_normals(basis, ambient_dim):
-        off = sum(nc * bc for nc, bc in zip(nrm, base))
-        plane_hs.append(halfspace(nrm, off))
-        plane_hs.append(halfspace(tuple(-c for c in nrm), -off))
-
-    lifted_hs = list(plane_hs)
-    for h in reduced.halfspaces:
-        alpha = _solve_gram(basis, list(h.normal))
-        w = tuple(
-            sum(a * bv[j] for a, bv in zip(alpha, basis)) for j in range(ambient_dim)
-        )
-        off = h.offset + sum(wc * bc for wc, bc in zip(w, base))
-        lifted_hs.append(halfspace(w, off))
-
-    verts = tuple(
-        tuple(
-            bc + sum(yv * bvec[j] for yv, bvec in zip(y, basis))
-            for j, bc in enumerate(base)
-        )
-        for y in reduced.vertices
-    )
+def _lift_region(frame: AffineFrame, reduced: Polytope) -> Polytope:
+    """The region in space of a region solved in ``frame``'s coordinates:
+    the hull's equations with the lifted cuts, and the lifted vertices."""
     return Polytope(
-        halfspaces=tuple(lifted_hs),
-        vertices=verts,
-        dim=ambient_dim,
+        halfspaces=tuple(frame.equations() + [frame.halfspace(h) for h in reduced.halfspaces]),
+        vertices=tuple(map(frame.point, reduced.vertices)),
+        dim=3,
         affine_dim=reduced.affine_dim,
         empty=reduced.empty,
         unbounded=False,
@@ -698,8 +627,7 @@ def _region_3d_lazy_certificates(
     start = len(ints)
     proven = any(cnt >= k for cnt in counts.values())
     for _ in range(_MAX_CUT_ROUNDS):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("region construction exceeded its deadline")
+        _check_deadline(deadline)
         pairs, adim = _vertex_order(verts)
         for v, (x, y, z, w) in pairs:
             if counts.get(v, -1) >= k:
@@ -736,7 +664,8 @@ def depth_region(
     ``method`` is ``"auto"``, ``"cuts"``, or ``"certificates"``; the
     certificate route requires data of full affine dimension.  Results are
     exact for every rational dataset in dimensions 1-3, including data with
-    duplicated or collinear points.
+    duplicated or collinear points.  3-D data on a line or plane are solved
+    in the coordinates of their affine hull and lifted back.
     """
     tau = as_fraction(tau)
     if not (0 < tau <= 1):
@@ -745,6 +674,7 @@ def depth_region(
         raise ValueError(f"unknown region method: {method!r}")
     if ds.dim > 3:
         raise ValueError("depth regions support d <= 3")
+    _check_deadline(deadline)
     k = quantile_index(ds.n, tau)
 
     if method == "certificates":
@@ -759,34 +689,19 @@ def depth_region(
             poly, _ = _region_by_cuts_2d(ds, tau, k, deadline)
         return RegionResult(poly, tau, k, "cuts")
 
-    # d == 3
     ad = affine_dimension(ds)
     if ad == 3:
         with _level_scope(ds, deadline) as scope:
             poly = _region_3d_lazy_certificates(ds, tau, k, deadline, scope["counts"])
-        return RegionResult(poly, tau, k, "cuts")
-    if ad == 0:
-        loc = ds.points[0]
-        hs = []
-        for i in range(3):
-            e = [Fraction(0)] * 3
-            e[i] = Fraction(1)
-            hs.append(halfspace(tuple(e), loc[i]))
-            e[i] = Fraction(-1)
-            hs.append(halfspace(tuple(e), -loc[i]))
+    elif ad == 0:
+        # every point at one location, which is the region at every level
         poly = Polytope(
-            halfspaces=tuple(hs), vertices=(loc,), dim=3, affine_dim=0,
-            empty=False, unbounded=False,
+            halfspaces=tuple(_box_halfspaces(ds.points[:1], range(3))), vertices=ds.points[:1],
+            dim=3, affine_dim=0, empty=False, unbounded=False,
         )
-        return RegionResult(poly, tau, k, "cuts")
-    base, basis = _affine_frame(ds)
-    reduced_ds = _reduce_points(ds, base, basis)
-    if len(basis) == 1:
-        red = _region_1d(reduced_ds, tau, k)
     else:
-        with _level_scope(reduced_ds, deadline):
-            red, _ = _region_by_cuts_2d(reduced_ds, tau, k, deadline)
-    poly = _lift_region(base, basis, red, 3)
+        frame, reduced = reduce_dataset(ds)
+        poly = _lift_region(frame, depth_region(reduced, tau, deadline=deadline).polytope)
     return RegionResult(poly, tau, k, "cuts")
 
 
@@ -811,38 +726,37 @@ def _coordinatewise_median(ds: DataSet) -> Vec:
     return tuple(cols)
 
 
-def median_region(
-    ds: DataSet,
-    average: str = "barycenter",
-    deadline: float | None = None,
-) -> MedianResult:
-    """Maximal-depth region and its center point.
+def median_region(ds: DataSet, deadline: float | None = None) -> MedianResult:
+    """Maximal-depth region and its barycenter (``polytope.barycenter``).
 
-    ``average="barycenter"`` takes the volume centroid of the region (the
-    vertex average for degenerate regions); ``average="vertices"`` always
-    averages the vertices.
+    3-D data on a line or plane are solved once in the coordinates of their
+    affine hull, and the region is lifted back.
     """
-    if average not in ("barycenter", "vertices"):
-        raise ValueError(f"unknown average: {average!r}")
-    n = ds.n
-
+    _check_deadline(deadline)
     if ds.dim == 1:
         lo, hi, lam = median_interval_1d([p[0] for p in ds.points])
         poly = intersect_halfspaces([halfspace((1,), lo), halfspace((-1,), -hi)], dim=1)
-        med = ((lo + hi) / 2,)
-        return MedianResult(poly, lam, med, average)
+        return MedianResult(poly, lam, ((lo + hi) / 2,))
 
-    with _level_scope(ds, deadline) as scope:
-        best_poly, best_k = _bisect_levels(ds, deadline, scope["counts"])
-    lam = Fraction(best_k, n)
-    med = vertex_centroid(best_poly) if average == "vertices" else barycenter(best_poly)
-    return MedianResult(best_poly, lam, med, average)
+    if ds.dim == 3 and (ad := affine_dimension(ds)) < 3:
+        if ad == 0:
+            poly, lam = depth_region(ds, 1).polytope, Fraction(1)
+        else:
+            frame, reduced = reduce_dataset(ds)
+            res = median_region(reduced, deadline=deadline)
+            poly, lam = _lift_region(frame, res.region), res.lambda_star
+    else:
+        with _level_scope(ds, deadline) as scope:
+            poly, best_k = _bisect_levels(ds, deadline, scope["counts"])
+        lam = Fraction(best_k, ds.n)
+    return MedianResult(poly, lam, barycenter(poly))
 
 
 def _bisect_levels(
     ds: DataSet, deadline: float | None, counts: dict[Vec, int]
 ) -> tuple[Polytope, int]:
-    """The deepest nonempty level k and its region (d = 2 or 3).
+    """The deepest nonempty level k and its region (d = 2, or d = 3 with
+    data of full affine dimension).
 
     The coordinatewise median's depth count certifies the floor ``k_lo``
     with no build, and the levels above it are bisected up to the first
@@ -858,10 +772,9 @@ def _bisect_levels(
     def build(k: int) -> Polytope:
         nonlocal seeds
         if ds.dim == 2:
-            poly, dirs = _region_by_cuts_2d(ds, Fraction(k, n), k, deadline, seeds)
-            seeds = dirs
+            poly, seeds = _region_by_cuts_2d(ds, Fraction(k, n), k, deadline, seeds)
             return poly
-        return depth_region(ds, Fraction(k, n), deadline=deadline).polytope
+        return _region_3d_lazy_certificates(ds, Fraction(k, n), k, deadline, counts)
 
     k_lo = max(depth_count(_coordinatewise_median(ds), ds), 1)
     k_hi = n + 1  # first level known (or assumed) empty
@@ -885,6 +798,6 @@ def _bisect_levels(
     return best
 
 
-def halfspace_median(ds: DataSet, average: str = "barycenter") -> Vec:
+def halfspace_median(ds: DataSet) -> Vec:
     """The deepest-region center: barycenter of the maximal-depth region."""
-    return median_region(ds, average=average).median
+    return median_region(ds).median

@@ -1042,3 +1042,74 @@ def reference_bisect_levels(ds: DataSet, deadline=None, counts=None):
                 k_lo = deepest
                 best_k = None
     return best_poly, best_k
+
+
+# ---------------------------------------------------------------------------
+# flat sets in space: random lifts and their extreme points
+
+
+def random_flat_dataset_3d(rng: random.Random, adim: int, max_n: int = 9) -> DataSet:
+    """A 3-D set of affine dimension ``adim`` (1 or 2): a ``random_dataset``
+    of that dimension, duplicates and collinear points included, mapped
+    into space by an integer affine map that keeps its dimension."""
+    from halfmed.geometry import dataset
+
+    def rank_of(pts):
+        return reference_matrix_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+
+    while True:
+        low = random_dataset(rng, adim, max_n=max_n, denom=2, span=3)
+        cols = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(adim)]
+        shift = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+        pts = [
+            tuple(s + sum(y * c[j] for y, c in zip(p, cols)) for j, s in enumerate(shift))
+            for p in low.points
+        ]
+        if rank_of(low.points) == rank_of(pts) == adim:
+            return dataset(pts)
+
+
+def reference_extreme_points_3d(points) -> list:
+    """The distinct points of a set in space of affine dimension at most 2
+    that lie in no segment or triangle of the others.  By Caratheodory a
+    point of such a set's hull lies in the hull of three of its points."""
+    locs = sorted(set(points))
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def in_segment(p, a, b):
+        e, f = sub(b, a), sub(p, a)
+        return _reference_cross3(e, f) == (0, 0, 0) and 0 <= dot(e, f) <= dot(e, e)
+
+    def in_triangle(p, a, b, c):
+        nrm = _reference_cross3(sub(b, a), sub(c, a))
+        if nrm == (0, 0, 0) or dot(nrm, sub(p, a)) != 0:
+            return False
+        return all(
+            dot(nrm, _reference_cross3(sub(v, u), sub(p, u))) >= 0
+            for u, v in ((a, b), (b, c), (c, a))
+        )
+
+    out = []
+    for p in locs:
+        others = [q for q in locs if q != p]
+        if not any(in_segment(p, a, b) for a, b in itertools.combinations(others, 2)) and not any(
+            in_triangle(p, a, b, c) for a, b, c in itertools.combinations(others, 3)
+        ):
+            out.append(p)
+    return out
+
+
+def reference_polygon_centroid(cycle) -> tuple:
+    """Area centroid of a convex polygon in the plane by the shoelace sums."""
+    a2 = cx = cy = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+        w = x0 * y1 - x1 * y0
+        a2 += w
+        cx += (x0 + x1) * w
+        cy += (y0 + y1) * w
+    return (cx / (3 * a2), cy / (3 * a2))

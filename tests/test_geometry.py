@@ -17,6 +17,7 @@ from halfmed.geometry import (
     canonical_direction,
     convex_hull_2d,
     convex_hull_contains,
+    cross3,
     dataset,
     dataset_from_floats,
     format_rational,
@@ -25,12 +26,20 @@ from halfmed.geometry import (
     matrix_rank,
     point,
     read_dataset,
+    reduce_dataset,
     side_of,
     snap,
+    vsub,
     write_dataset,
 )
+from halfmed.polytope import intersect_halfspaces
 
-from oracles import random_dataset, reference_matrix_rank
+from oracles import (
+    random_dataset,
+    random_flat_dataset_3d,
+    reference_extreme_points_3d,
+    reference_matrix_rank,
+)
 
 
 class TestAsFraction:
@@ -279,6 +288,16 @@ class TestHullHalfspaces:
         hs = hull_halfspaces(ds)
         assert len(hs) == 3
 
+    def test_flat_sets_in_space_are_tight(self):
+        # the hull of a collinear or coplanar set in space is its reduced
+        # hull lifted into the flat: exactly the set's extreme points
+        rng = random.Random(23)
+        for adim in (1, 2) * 40:
+            ds = random_flat_dataset_3d(rng, adim)
+            p = intersect_halfspaces(hull_halfspaces(ds), dim=3)
+            assert p.affine_dim == adim and not p.unbounded
+            assert sorted(p.vertices) == reference_extreme_points_3d(ds.points), ds.points
+
     def test_each_call_returns_a_fresh_list(self):
         for ds in (dataset([(0,), (3,)]), dataset([(0, 0), (2, 0), (1, 1)]),
                    dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])):
@@ -286,6 +305,44 @@ class TestHullHalfspaces:
             want = list(hs)
             hs.clear()
             assert hull_halfspaces(ds) == want
+
+
+class TestAffineFrame:
+    def test_basis_coordinates_and_lift(self):
+        rng = random.Random(29)
+        for adim in (1, 2) * 25:
+            ds = random_flat_dataset_3d(rng, adim)
+            frame, reduced = reduce_dataset(ds)
+            # the first nonzero difference, then the first one off its line
+            diffs = [vsub(p, ds.points[0]) for p in ds.points[1:]]
+            first = next(v for v in diffs if any(v))
+            assert frame.base == ds.points[0] and frame.basis[0] == first
+            if adim == 2:
+                assert frame.basis[1] == next(v for v in diffs if any(cross3(first, v)))
+            assert len(frame.basis) == reduced.dim == adim
+            assert [frame.point(y) for y in reduced.points] == list(ds.points)
+
+    def test_lifted_halfspaces_and_equations(self):
+        rng = random.Random(31)
+        for adim in (1, 2) * 25:
+            ds = random_flat_dataset_3d(rng, adim)
+            frame, reduced = reduce_dataset(ds)
+            eqs = frame.equations()
+            # opposite pairs of normals orthogonal to the flat and spanning
+            # its complement, each pair tight on every data point
+            assert len(eqs) == 2 * (3 - adim)
+            assert reference_matrix_rank([h.normal for h in eqs]) == 3 - adim
+            assert all(sum(a * b for a, b in zip(h.normal, v)) == 0
+                       for h in eqs for v in frame.basis)
+            assert all(h.contains(p) for h in eqs for p in ds.points)
+            for _ in range(5):
+                h = halfspace([rng.randint(-3, 3) or 1 for _ in range(adim)],
+                              F(rng.randint(-9, 9), rng.randint(1, 3)))
+                lifted = frame.halfspace(h)
+                for y in reduced.points + tuple(
+                    tuple(F(rng.randint(-20, 20), 4) for _ in range(adim)) for _ in range(5)
+                ):
+                    assert lifted.contains(frame.point(y)) == h.contains(y)
 
 
 class TestDatasetIO:

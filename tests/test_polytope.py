@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 from halfmed.geometry import as_fraction, convex_hull_2d, dataset, halfspace, point
 from halfmed.polytope import (
+    Polytope,
     _box_3d,
     _box_bound,
     _clip,
@@ -33,6 +34,7 @@ from oracles import (
     reference_feasible,
     reference_intersect_2d,
     reference_intersect_3d,
+    reference_polygon_centroid,
     reference_polyhedron_centroid,
     reference_unbounded_direction_2d,
 )
@@ -570,6 +572,34 @@ class TestBarycenter:
         p = intersect_halfspaces(hs)
         assert len(p.vertices) == 5
         assert vertex_centroid(p) != barycenter(p)
+
+    def test_flat_polygons_in_space_map_with_their_plane(self):
+        # the area centroid commutes with affine maps: a polygon mapped into
+        # space by an injective integer affine map, its vertices in any
+        # order, has the image of its planar centroid as its centroid
+        rng = random.Random(4747)
+        done = 0
+        while done < 200:
+            pts = [(F(rng.randint(-8, 8), rng.randint(1, 3)), F(rng.randint(-8, 8), rng.randint(1, 2)))
+                   for _ in range(rng.randint(3, 9))]
+            hull = convex_hull_2d(pts)
+            cols = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(2)]
+            normal = [cols[0][(j + 1) % 3] * cols[1][(j + 2) % 3]
+                      - cols[0][(j + 2) % 3] * cols[1][(j + 1) % 3] for j in range(3)]
+            if len(hull) < 3 or not any(normal):
+                continue
+            shift = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+
+            def lift(y):
+                return tuple(s + y[0] * a + y[1] * b for s, a, b in zip(shift, *cols))
+
+            flat = [lift(v) for v in hull]
+            rng.shuffle(flat)
+            planar = Polytope((), tuple(hull), 2, 2, empty=False, unbounded=False)
+            spatial = Polytope((), tuple(flat), 3, 2, empty=False, unbounded=False)
+            assert barycenter(planar) == reference_polygon_centroid(hull)
+            assert barycenter(spatial) == lift(barycenter(planar))
+            done += 1
 
 
 class TestPolyhedronCentroid:

@@ -612,11 +612,18 @@ class TestLevelSearchMatchesReference:
             assert median_region(ds).median == polytope.barycenter(want[0])
 
     def test_same_reprs_3d(self):
-        sets = _cutting_loop_3d_sets() + [dataset(CLUSTER_3D.points[:6] * 2)]
-        for ds in sets:
+        for ds in _cutting_loop_3d_sets():
             got = self._search(ds, regions._bisect_levels)
             want = self._search(ds, reference_bisect_levels)
             assert (repr(got[0]), got[1]) == (repr(want[0]), want[1]), ds.points
+        # coplanar data never reach the level search: the median solves them
+        # in the plane and lifts the region, whose cuts are the lifted ones
+        ds = dataset(CLUSTER_3D.points[:6] * 2)
+        got = median_region(ds)
+        poly, k = self._search(ds, reference_bisect_levels)
+        assert (got.lambda_star, got.region.vertices, got.region.affine_dim) == (
+            F(k, ds.n), poly.vertices, poly.affine_dim)
+        assert got.median == polytope.barycenter(poly)
 
     def test_floor_build_and_deepest_vertex_jump(self, monkeypatch):
         # both ends of the search occur: a maximal level equal to the
@@ -697,6 +704,20 @@ class TestDeadlineAndCallScope:
             median_region(ds, deadline=time.monotonic() - 1)
         assert regions._SCOPE not in ds._cache
 
+    @pytest.mark.parametrize("points", [
+        [(0, 0, 1)] * 4,
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2), (2, 2, 2)],
+        [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)],
+        [(0,), (1,), (3,), (3,)],
+    ], ids=["point-3d", "collinear-3d", "coplanar-3d", "1d"])
+    def test_expired_deadline_raises_in_every_dimension(self, points):
+        ds = dataset(points)
+        with pytest.raises(TimeoutError):
+            depth_region(ds, F(1, 2), deadline=time.monotonic() - 1)
+        with pytest.raises(TimeoutError):
+            median_region(ds, deadline=time.monotonic() - 1)
+        assert regions._SCOPE not in ds._cache
+
     def test_expired_deadline_stops_the_cutting_rounds(self):
         # the plane table is already built in the open scope, so the
         # timeout comes from the per-round check of the cutting loop
@@ -716,6 +737,56 @@ class TestDeadlineAndCallScope:
             median_region(ds)
             depth_region(ds, F(1, 4))
             assert regions._SCOPE not in ds._cache
+
+
+class TestFlatDataReducedOnce:
+    """3-D data on a plane or a line are reduced to the coordinates of their
+    affine hull once per call, and answer as the same points in the plane
+    or on the line do."""
+
+    BALL = sample(uniform_ball(2), n=60, seed=0, bits=21)
+
+    @staticmethod
+    def _count_reductions(monkeypatch):
+        calls = []
+        reduce = regions.reduce_dataset
+
+        def counted(ds):
+            calls.append(ds.n)
+            return reduce(ds)
+
+        monkeypatch.setattr(regions, "reduce_dataset", counted)
+        return calls
+
+    def test_coplanar_median(self, monkeypatch):
+        calls = self._count_reductions(monkeypatch)
+        res = median_region(dataset([(x, y, x + 2 * y) for x, y in self.BALL.points]))
+        assert calls == [60]
+        want = median_region(self.BALL)
+        assert res.lambda_star == want.lambda_star
+        assert res.median == (*want.median, want.median[0] + 2 * want.median[1])
+        assert sorted(v[:2] for v in res.region.vertices) == sorted(want.region.vertices)
+        assert res.region.affine_dim == want.region.affine_dim == 2
+
+    def test_collinear_median(self, monkeypatch):
+        calls = self._count_reductions(monkeypatch)
+        res = median_region(dataset([(x, 2 * x + 1, -x) for x, _ in self.BALL.points]))
+        assert calls == [60]
+        want = median_region(dataset([(x,) for x, _ in self.BALL.points]))
+        assert res.lambda_star == want.lambda_star
+        assert res.median == (want.median[0], 2 * want.median[0] + 1, -want.median[0])
+        assert [v[:1] for v in res.region.vertices] == list(want.region.vertices)
+
+    def test_coplanar_region_at_each_level(self, monkeypatch):
+        calls = self._count_reductions(monkeypatch)
+        flat = dataset([(x, y, x + 2 * y) for x, y in self.BALL.points])
+        for k in (1, 10, 20, 26, 27):
+            calls.clear()
+            got = depth_region(flat, F(k, 60)).polytope
+            assert calls == [60]
+            want = depth_region(self.BALL, F(k, 60)).polytope
+            assert got.empty == want.empty
+            assert sorted(v[:2] for v in got.vertices) == sorted(want.vertices)
 
 
 # ---------------------------------------------------------------------------
