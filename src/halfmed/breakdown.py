@@ -45,6 +45,7 @@ from .geometry import (
     dataset,
     dot,
     hull_halfspaces,
+    int_point,
     primitive,
     vsub,
 )
@@ -74,8 +75,7 @@ class ProjectionFrame:
 
 
 def _primitive(v: Sequence[Fraction]) -> Vec:
-    den = math.lcm(*(c.denominator for c in v))
-    return tuple(Fraction(c) for c in primitive([int(c * den) for c in v]))
+    return tuple(Fraction(c) for c in primitive(int_point(v)[1]))
 
 
 def projection_frame(u: Sequence, d: int | None = None) -> ProjectionFrame:

@@ -55,6 +55,7 @@ from .geometry import (
     canonical_direction,
     cross3,
     dot3,
+    int_point,
     primitive,
 )
 
@@ -80,22 +81,17 @@ class DepthResult:
 # integer preparation
 
 
-def _int_point(x: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """``(q, a)`` with ``x = a / q``, ``q`` the least common multiple of its denominators."""
-    q = math.lcm(*(c.denominator for c in x))
-    return q, tuple(c.numerator * (q // c.denominator) for c in x)
-
-
 def _direction_ints(u: Sequence[Fraction]) -> tuple[int, ...]:
-    return _int_point(u)[1]
+    return int_point(u)[1]
 
 
 def _query_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     """Differences ``Xi - x`` as integer tuples sharing one positive scale."""
     scale, rows = ds.scaled_ints()
-    big = math.lcm(scale, *(c.denominator for c in x))
+    q, a = int_point(x)
+    big = math.lcm(scale, q)
     f = big // scale
-    xi = tuple(int(c * big) for c in x)
+    xi = tuple(c * (big // q) for c in a)
     c0 = 0
     vecs: list[tuple[int, ...]] = []
     for r in rows:
@@ -113,7 +109,7 @@ def _row_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     Each row keeps its own scale ``den_i q``, so only the signs and the
     directions of the vectors mean anything.  For d = 1 and 2 only.
     """
-    q, a = _int_point(x)
+    q, a = int_point(x)
     rows = zip(*ds.row_ints())
     if len(a) == 1:
         (a0,) = a
@@ -141,7 +137,7 @@ def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
 
 def _recount(ds: DataSet, x: Vec, u: Vec) -> tuple[int, int]:
     """Points with ``u . Xi <= u . x``, and how many of them have equality."""
-    q, a = _int_point(x)
+    q, a = int_point(x)
     ui = _direction_ints(u)
     ua = sum(map(operator.mul, ui, a))
     below = boundary = 0
@@ -594,7 +590,7 @@ def directional_quantile(ds: DataSet, u: Sequence[object], tau: object) -> Fract
     if all(c == 0 for c in ut):
         raise ValueError("direction must be nonzero")
     k = quantile_index(ds.n, tau)
-    uden, ui = _int_point(ut)
+    uden, ui = int_point(ut)
     scale, rows = ds.scaled_ints()
     projs = [sum(map(operator.mul, ui, r)) for r in rows]
     projs.sort()

@@ -12,6 +12,7 @@ assumes general position.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -110,6 +111,18 @@ def cross3(u: Sequence, v: Sequence) -> tuple:
     )
 
 
+def int_point(x: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(q, a)`` with ``x = a / q``, ``q`` the least common multiple of its denominators.
+
+    This is the one place where denominators are cleared.  A coordinate
+    already on ``q`` shares its Fraction's numerator, so a long-lived view
+    such as ``DataSet.row_ints`` copies no integer it need not.
+    """
+    dens = [c.denominator for c in x]
+    q = math.lcm(*dens)
+    return q, tuple([c.numerator if d == q else c.numerator * (q // d) for c, d in zip(x, dens)])
+
+
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """Integer vector divided by the gcd of its entries (the zero vector stays)."""
     g = math.gcd(*v)
@@ -155,11 +168,7 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     Each row is scaled to integers, which keeps the rank; Bareiss elimination
     then divides every updated entry exactly by the previous pivot.
     """
-    ints = []
-    for r in rows:
-        if any(c != 0 for c in r):
-            den = math.lcm(*(c.denominator for c in r))
-            ints.append([c.numerator * (den // c.denominator) for c in r])
+    ints = [int_point(r)[1] for r in rows if any(c != 0 for c in r)]
     if not ints:
         return 0
     cols = len(ints[0])
@@ -201,6 +210,14 @@ class Halfspace:
     def __post_init__(self) -> None:
         if is_zero_vec(self.normal):
             raise ValueError("halfspace normal must be nonzero")
+
+    @functools.cached_property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """``(normal, offset)`` on integers: the halfspace times the least
+        common multiple of its denominators.  Every consumer gives the same
+        result for any positive multiple of this row."""
+        _, row = int_point((*self.normal, self.offset))
+        return row[:-1], row[-1]
 
     @property
     def dim(self) -> int:
@@ -273,18 +290,8 @@ class DataSet:
         """
         cached = self._cache.get("rows")
         if cached is None:
-            dens: list[int] = []
-            nums: list[tuple[int, ...]] = []
-            for p in self.points:
-                den = math.lcm(*(c.denominator for c in p))
-                dens.append(den)
-                # the view lives as long as the dataset: a coordinate already
-                # on the row's denominator shares its Fraction's numerator
-                nums.append(tuple(
-                    c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
-                    for c in p
-                ))
-            cached = (dens, nums)
+            pairs = [int_point(p) for p in self.points]
+            cached = ([den for den, _ in pairs], [row for _, row in pairs])
             self._cache["rows"] = cached
         return cached
 
@@ -336,11 +343,14 @@ def dataset_from_floats(
 
 
 def affine_dimension(ds: DataSet | Sequence[Sequence[Fraction]]) -> int:
-    pts = ds.points if isinstance(ds, DataSet) else [tuple(p) for p in ds]
-    if not pts:
-        raise ValueError("affine dimension of an empty set is undefined")
-    base = pts[0]
-    return matrix_rank([vsub(p, base) for p in pts[1:]])
+    """Dimension of the affine hull; cached per dataset."""
+    cache = ds._cache if isinstance(ds, DataSet) else {}
+    if "adim" not in cache:
+        pts = ds.points if isinstance(ds, DataSet) else [tuple(p) for p in ds]
+        if not pts:
+            raise ValueError("affine dimension of an empty set is undefined")
+        cache["adim"] = matrix_rank([vsub(p, pts[0]) for p in pts[1:]])
+    return cache["adim"]
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +370,20 @@ class AffineFrame:
     base: Vec
     basis: tuple[Vec, ...]
 
-    def _gram_solve(self, rhs: Sequence[Fraction]) -> Vec:
+    @functools.cached_property
+    def _gram(self) -> tuple[Fraction, ...]:
+        """``(b.b,)`` for a line; ``(g11, g12, g22, det)`` for a plane."""
         if len(self.basis) == 1:
             (b,) = self.basis
-            return (rhs[0] / dot(b, b),)
+            return (dot(b, b),)
         b1, b2 = self.basis
         g11, g12, g22 = dot(b1, b1), dot(b1, b2), dot(b2, b2)
-        det = g11 * g22 - g12 * g12
+        return g11, g12, g22, g11 * g22 - g12 * g12
+
+    def _gram_solve(self, rhs: Sequence[Fraction]) -> Vec:
+        if len(self.basis) == 1:
+            return (rhs[0] / self._gram[0],)
+        g11, g12, g22, det = self._gram
         return ((g22 * rhs[0] - g12 * rhs[1]) / det, (g11 * rhs[1] - g12 * rhs[0]) / det)
 
     def coords(self, x: Sequence[Fraction]) -> Vec:
@@ -530,10 +547,7 @@ def hull_halfspaces(ds: DataSet) -> list[Halfspace]:
         d = ds.dim
         pts = ds.points
         if d == 1:
-            cached = [
-                Halfspace((Fraction(1),), min(p[0] for p in pts)),
-                Halfspace((Fraction(-1),), -max(p[0] for p in pts)),
-            ]
+            cached = _box_halfspaces(pts, (0,))
         elif d == 2:
             cached = _hull_halfspaces_2d(pts)
         elif d == 3:

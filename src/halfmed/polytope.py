@@ -33,6 +33,7 @@ from .geometry import (
     cross3,
     dot3,
     format_rational,
+    int_point,
     matrix_rank,
     vsub,
 )
@@ -65,7 +66,8 @@ def dedup_halfspaces(halfspaces: Sequence[Halfspace]) -> list[Halfspace]:
     # primitive integer normal -> (integer offset, its divisor g, halfspace);
     # on the primitive normal the offset is offset / g
     best: dict[tuple[int, ...], tuple[int, int, Halfspace]] = {}
-    for h, (normal, offset) in zip(halfspaces, _int_halfspaces(halfspaces)):
+    for h in halfspaces:
+        normal, offset = h.ints
         g = math.gcd(*normal)
         key = tuple(c // g for c in normal)
         cur = best.get(key)
@@ -121,16 +123,6 @@ def _intersect_1d(hs: list[Halfspace]) -> Polytope:
 # shared helpers
 
 
-def _int_halfspaces(hs: Sequence[Halfspace]) -> list[tuple[tuple[int, ...], int]]:
-    """Each halfspace as ``normal . x >= offset`` on integers, scaled by a positive factor."""
-    out = []
-    for h in hs:
-        scale = math.lcm(*(c.denominator for c in (*h.normal, h.offset)))
-        normal = tuple(c.numerator * (scale // c.denominator) for c in h.normal)
-        out.append((normal, h.offset.numerator * (scale // h.offset.denominator)))
-    return out
-
-
 def _box_bound(ints: list[tuple[tuple[int, ...], int]], d: int) -> int:
     """Half-width ``M`` of a box ``[-M, M]^d`` that holds strictly inside it
     every vertex of the arrangement of the integer rows ``ints``.
@@ -165,11 +157,10 @@ def _boxed(p: Polytope, hverts, m: int) -> Polytope:
 
 
 def _intersect_2d(hs: list[Halfspace]) -> Polytope:
-    ints = _int_halfspaces(hs)
-    m = _box_bound(ints, 2)
+    m = _box_bound([h.ints for h in hs], 2)
     poly = _box_polygon(-m, m, -m, m)
-    for normal, offset in ints:
-        poly = _clip(poly, normal, offset)
+    for h in hs:
+        poly = _clip(poly, *h.ints)
     return _boxed(_polygon_polytope(tuple(hs), poly), poly, m)
 
 
@@ -178,11 +169,10 @@ def _intersect_2d(hs: list[Halfspace]) -> Polytope:
 
 
 def _intersect_3d(hs: list[Halfspace]) -> Polytope:
-    ints = _int_halfspaces(hs)
-    m = _box_bound(ints, 3)
+    m = _box_bound([h.ints for h in hs], 3)
     verts = _box_3d([(-m, m)] * 3)
-    for i, (normal, offset) in enumerate(ints, 6):
-        verts = _clip_3d(verts, i, normal, offset)
+    for i, h in enumerate(hs, 6):
+        verts = _clip_3d(verts, i, *h.ints)
     return _boxed(_polytope_3d(tuple(hs), *_vertex_order(verts)), verts, m)
 
 
@@ -286,8 +276,8 @@ def _order_planar_cycle(verts: list[Vec]) -> list[Vec]:
 
 def _hvertex(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Reduced homogeneous integers of a rational point."""
-    w = math.lcm(*(c.denominator for c in v))
-    return (*(c.numerator * (w // c.denominator) for c in v), w)
+    w, a = int_point(v)
+    return (*a, w)
 
 
 def _hpoint(v: tuple[int, ...]) -> Vec:
@@ -363,8 +353,7 @@ def clip_polygon(vertices: Sequence[Vec], h: Halfspace) -> list[Vec]:
     smallest vertex, a segment as its smaller end and then its larger one.
     """
     poly = [_hvertex(v) for v in convex_hull_2d(list(vertices))]
-    ((normal, offset),) = _int_halfspaces([h])
-    return [_hpoint(v) for v in _clip(poly, normal, offset)]
+    return [_hpoint(v) for v in _clip(poly, *h.ints)]
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +414,14 @@ def _polyhedron_centroid(verts: list[Vec], halfspaces) -> Vec:
     one division at the end removes.
     """
     n = len(verts)
-    den = math.lcm(*(c.denominator for v in verts for c in v))
-    rows = {v: tuple([c.numerator * (den // c.denominator) for c in v]) for v in verts}
-    gsum = tuple(map(sum, zip(*(rows[v] for v in verts))))
-    vset = set(rows.values())
+    den, flat = int_point([c for v in verts for c in v])
+    rows = [flat[i:i + 3] for i in range(0, 3 * n, 3)]
+    gsum = tuple(map(sum, zip(*rows)))
+    vset = set(rows)
     total = 0
     acc = [0, 0, 0]
-    for normal, offset in _int_halfspaces(list(halfspaces)):
+    for h in halfspaces:
+        normal, offset = h.ints
         level = offset * den
         face = [p for p in vset if dot3(normal, p) == level]
         if len(face) < 3:

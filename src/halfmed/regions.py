@@ -56,7 +56,6 @@ from typing import Sequence
 
 from .depth import (
     _direction_ints,
-    _int_point,
     _split,
     depth_count,
     median_interval_1d,
@@ -73,6 +72,7 @@ from .geometry import (
     as_fraction,
     cross3,
     halfspace,
+    int_point,
     primitive,
     reduce_dataset,
     vsub,
@@ -84,13 +84,13 @@ from .polytope import (
     _clip,
     _clip_3d,
     _hpoint,
-    _int_halfspaces,
     _polygon_polytope,
     _polytope_3d,
     _vertex_order,
     barycenter,
     dedup_halfspaces,
     intersect_halfspaces,
+    vertex_centroid,
 )
 
 _MAX_CUT_ROUNDS = 500
@@ -191,7 +191,7 @@ def certificate_for(ds: DataSet, h: Halfspace, tau: object) -> IrrotatableCertif
         raise ValueError("certificates support d <= 3")
     k = quantile_index(ds.n, tau)
     scale, rows = ds.scaled_ints()
-    ((normal, offset),) = _int_halfspaces([h])
+    normal, offset = h.ints
     cut, boundary = _split(rows, normal, offset * scale)
     if cut > k - 1 or not boundary:
         return None
@@ -354,20 +354,17 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
 # cutting-plane region construction (d = 2 core)
 
 
-def _quantile_cut(
-    ds: DataSet, u: Vec, tau: Fraction
-) -> tuple[Halfspace, tuple[tuple[int, ...], int]]:
-    """The halfspace ``u . x >= directional_quantile(ds, u, tau)``, and its
-    integer form ``scale p . x >= p . r_k``.
+def _quantile_cut(ds: DataSet, u: Vec, tau: Fraction) -> Halfspace:
+    """The halfspace ``u . x >= directional_quantile(ds, u, tau)``.
 
     An open scope keeps the integer rows ``r`` of ``ds.scaled_ints()``
     sorted by ``p . r``, once per primitive direction ``p``, as references
     to the rows rather than one new integer per row; with no scope open
     they are sorted for this call only.  For ``u = g p / uden`` and ``r_k``
     the k-th row, the quantile is ``g p . r_k / (uden * scale)``: the same
-    Fraction.  The integer form is the halfspace times ``uden * scale / g``.
+    Fraction.
     """
-    uden, ui = _int_point(u)
+    uden, ui = int_point(u)
     g = math.gcd(*ui)
     p = tuple(c // g for c in ui)
     scale, rows = ds.scaled_ints()
@@ -378,7 +375,7 @@ def _quantile_cut(
         projs = [sum(map(operator.mul, p, r)) for r in rows]
         ranked = table[p] = [rows[i] for i in sorted(range(len(rows)), key=projs.__getitem__)]
     pk = sum(map(operator.mul, p, ranked[quantile_index(ds.n, tau) - 1]))
-    return halfspace(u, Fraction(g * pk, uden * scale)), (tuple(scale * c for c in p), pk)
+    return halfspace(u, Fraction(g * pk, uden * scale))
 
 
 def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
@@ -387,9 +384,9 @@ def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
     for i in range(d):
         e = [Fraction(0)] * d
         e[i] = Fraction(1)
-        out.append(_quantile_cut(ds, tuple(e), tau)[0])
+        out.append(_quantile_cut(ds, tuple(e), tau))
         e[i] = Fraction(-1)
-        out.append(_quantile_cut(ds, tuple(e), tau)[0])
+        out.append(_quantile_cut(ds, tuple(e), tau))
     return out
 
 
@@ -478,36 +475,37 @@ def _region_by_cuts_2d(
     open scope the depth counts of the region's vertices, all certified in
     the last round, are left in the scope's ``counts``.
     """
-    constraints = _axis_quantile_box(ds, tau)
+    constraints: list[Halfspace] = []
     # a cut is new unless its primitive integer (normal, offset) was seen
-    seen_keys = {primitive((*nv, off)) for nv, off in _int_halfspaces(constraints)}
-    # the box is x >= xlo, -x >= -xhi, y >= ylo, -y >= -yhi
-    xlo, neg_xhi, ylo, neg_yhi = (h.offset for h in constraints)
-    poly = _box_polygon(xlo, -neg_xhi, ylo, -neg_yhi)
-    directions: list[Vec] = []
-    fresh: list[tuple[tuple[int, ...], int]] = []
+    seen_keys: set[tuple[int, ...]] = set()
 
-    def admit(cut: tuple[Halfspace, tuple[tuple[int, ...], int]]) -> bool:
-        h, (normal, offset) = cut
+    def admit(h: Halfspace) -> bool:
+        normal, offset = h.ints
         key = primitive((*normal, offset))
         if key in seen_keys:
             return False
         seen_keys.add(key)
         constraints.append(h)
-        fresh.append((normal, offset))
         return True
 
+    for h in _axis_quantile_box(ds, tau):
+        admit(h)
+    # the box is x >= xlo, -x >= -xhi, y >= ylo, -y >= -yhi
+    xlo, neg_xhi, ylo, neg_yhi = (h.offset for h in constraints)
+    poly = _box_polygon(xlo, -neg_xhi, ylo, -neg_yhi)
+    start = len(constraints)  # the constraints from here on are not clipped yet
+    directions: list[Vec] = []
     for u in seed_directions:
         if admit(_quantile_cut(ds, u, tau)):
             directions.append(u)
     certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
         _check_deadline(deadline)
-        for normal, offset in fresh:
-            poly = _clip(poly, normal, offset)
+        for h in constraints[start:]:
+            poly = _clip(poly, *h.ints)
         if not poly:
             return _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly), directions
-        fresh.clear()
+        start = len(constraints)
         for hv in poly:
             cnt = certified.get(hv)
             u_wit: Vec | None = None
@@ -525,7 +523,7 @@ def _region_by_cuts_2d(
             cuts = []
             for w in _bracketing_criticals_2d(ds, u_wit, contact):
                 cut = _quantile_cut(ds, w, tau)
-                (a, b), c = cut[1]
+                (a, b), c = cut.ints
                 if a * hv[0] + b * hv[1] < c * hv[2]:
                     cuts.append(cut)
             if not cuts:
@@ -534,8 +532,8 @@ def _region_by_cuts_2d(
                 cuts.append(_quantile_cut(ds, u_wit, tau))
             for cut in cuts:
                 if admit(cut):
-                    directions.append(cut[0].normal)
-        if not fresh:
+                    directions.append(cut.normal)
+        if len(constraints) == start:
             region = _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly)
             scope = ds._cache.get(_SCOPE)
             if scope is not None:
@@ -587,20 +585,9 @@ def _region_certificates(ds: DataSet, tau: Fraction, k: int):
     poly = intersect_halfspaces([c.halfspace for c in certs], dim=ds.dim)
     # outside the guaranteed range (tau above the maximal depth) the
     # intersection can overshoot; an exact depth check settles it
-    if not poly.empty:
-        probe = poly.vertices[0] if poly.vertices else None
-        if poly.unbounded or probe is None or depth_count(_inner_point(poly), ds) < k:
-            poly = _empty_region(ds.dim)
+    if not poly.empty and (poly.unbounded or depth_count(vertex_centroid(poly), ds) < k):
+        poly = _empty_region(ds.dim)
     return poly, certs
-
-
-def _inner_point(poly: Polytope) -> Vec:
-    if len(poly.vertices) == 1:
-        return poly.vertices[0]
-    return tuple(
-        sum(v[j] for v in poly.vertices) / len(poly.vertices)
-        for j in range(poly.dim)
-    )
 
 
 def _region_3d_lazy_certificates(
@@ -619,12 +606,10 @@ def _region_3d_lazy_certificates(
     integer vertices with their tight constraints, clipped by each new cut.
     """
     family = [c.halfspace for c in enumerate_irrotatable(ds, tau)]
-    family_ints = _int_halfspaces(family)
     constraints = _axis_quantile_box(ds, tau)
-    ints = _int_halfspaces(constraints)
     # the box is x >= xlo, -x >= -xhi, y >= ylo, -y >= -yhi, z >= zlo, -z >= -zhi
     verts = _box_3d([(a.offset, -b.offset) for a, b in zip(constraints[::2], constraints[1::2])])
-    start = len(ints)
+    start = len(constraints)
     proven = any(cnt >= k for cnt in counts.values())
     for _ in range(_MAX_CUT_ROUNDS):
         _check_deadline(deadline)
@@ -632,12 +617,13 @@ def _region_3d_lazy_certificates(
         for v, (x, y, z, w) in pairs:
             if counts.get(v, -1) >= k:
                 continue  # deep, so inside every certificate
-            if any(n0 * x + n1 * y + n2 * z < c * w for (n0, n1, n2), c in ints[start:]):
+            new = (h.ints for h in constraints[start:])
+            if any(n0 * x + n1 * y + n2 * z < c * w for (n0, n1, n2), c in new):
                 continue  # a cut added this round already excludes it
-            for i, ((n0, n1, n2), c) in enumerate(family_ints):
+            for i, h in enumerate(family):
+                (n0, n1, n2), c = h.ints
                 if n0 * x + n1 * y + n2 * z < c * w:
                     constraints.append(family.pop(i))
-                    ints.append(family_ints.pop(i))
                     break
             else:
                 if not proven and _vertex_count(ds, v, counts) < k:
@@ -645,11 +631,11 @@ def _region_3d_lazy_certificates(
                     # above the maximal depth and the region is empty
                     return _empty_region(3)
                 proven = True
-        if len(ints) == start:
+        if len(constraints) == start:
             return _polytope_3d(tuple(dedup_halfspaces(constraints)), pairs, adim)
-        for i in range(start, len(ints)):
-            verts = _clip_3d(verts, i, *ints[i])
-        start = len(ints)
+        for i in range(start, len(constraints)):
+            verts = _clip_3d(verts, i, *constraints[i].ints)
+        start = len(constraints)
     raise RuntimeError("certificate cutting loop failed to converge")
 
 
@@ -721,8 +707,8 @@ def _coordinatewise_median(ds: DataSet) -> Vec:
     cols = []
     for j in range(ds.dim):
         e = tuple(Fraction(int(i == j)) for i in range(ds.dim))
-        cols.append((_quantile_cut(ds, e, Fraction((n + 1) // 2, n))[0].offset
-                     + _quantile_cut(ds, e, Fraction(n // 2 + 1, n))[0].offset) / 2)
+        cols.append((_quantile_cut(ds, e, Fraction((n + 1) // 2, n)).offset
+                     + _quantile_cut(ds, e, Fraction(n // 2 + 1, n)).offset) / 2)
     return tuple(cols)
 
 

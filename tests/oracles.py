@@ -970,6 +970,24 @@ def reference_dedup_halfspaces(halfspaces):
 
 
 # ---------------------------------------------------------------------------
+# reference integer forms: the denominators of one rational vector cleared
+
+
+def reference_int_point(x):
+    """``(q, a)`` with ``x = a / q``, ``q`` the lcm of the denominators."""
+    q = math.lcm(*(c.denominator for c in x))
+    return q, tuple(c.numerator * (q // c.denominator) for c in x)
+
+
+def reference_int_halfspace(h):
+    """``normal . x >= offset`` on integers: ``h`` times the lcm of the
+    denominators of its normal and offset."""
+    scale = math.lcm(*(c.denominator for c in (*h.normal, h.offset)))
+    normal = tuple(c.numerator * (scale // c.denominator) for c in h.normal)
+    return normal, h.offset.numerator * (scale // h.offset.denominator)
+
+
+# ---------------------------------------------------------------------------
 # reference hull cap of a contamination plan: bisect every level 1 ... n+m
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from halfmed.geometry import (
     DataSet,
+    Halfspace,
     Side,
     affine_dimension,
     angular_cmp,
@@ -23,6 +24,7 @@ from halfmed.geometry import (
     format_rational,
     halfspace,
     hull_halfspaces,
+    int_point,
     matrix_rank,
     point,
     read_dataset,
@@ -38,6 +40,8 @@ from oracles import (
     random_dataset,
     random_flat_dataset_3d,
     reference_extreme_points_3d,
+    reference_int_halfspace,
+    reference_int_point,
     reference_matrix_rank,
 )
 
@@ -144,6 +148,46 @@ class TestHalfspace:
             halfspace((0, 0), 1)
 
 
+def _random_rational_vector(rng, d):
+    """Integer-valued, small or 200-bit-denominator entries of either sign,
+    one kind per vector or mixed."""
+    draws = {
+        "int": lambda: F(rng.randint(-9, 9)),
+        "small": lambda: F(rng.randint(-9, 9), rng.randint(1, 12)),
+        "big": lambda: F(rng.randint(-2**200, 2**200), rng.randint(1, 2**200)),
+    }
+    kind = rng.choice(("int", "small", "big", None))
+    return tuple(draws[kind or rng.choice(list(draws))]() for _ in range(d))
+
+
+class TestIntegerForms:
+    """The one routine that clears denominators, and the integer row each
+    halfspace carries, against the formulas they replaced."""
+
+    def test_int_point_matches_reference(self):
+        rng = random.Random(1604)
+        for _ in range(400):
+            x = _random_rational_vector(rng, rng.randint(1, 4))
+            q, a = int_point(x)
+            assert (q, a) == reference_int_point(x)
+            assert q > 0 and tuple(F(c, q) for c in a) == x
+
+    def test_halfspace_ints_match_reference(self):
+        rng = random.Random(1605)
+        for _ in range(400):
+            d = rng.randint(1, 3)
+            normal = _random_rational_vector(rng, d)
+            if not any(normal):
+                continue
+            h = Halfspace(normal, _random_rational_vector(rng, 1)[0])
+            before = (repr(h), hash(h))
+            assert h.ints == reference_int_halfspace(h)
+            assert h.ints is h.ints  # computed once
+            # the cached row is no field: repr, hash and equality stay
+            assert (repr(h), hash(h)) == before
+            assert h == Halfspace(h.normal, h.offset)
+
+
 class TestDataSet:
     def test_duplicates_preserved(self):
         ds = dataset([(0, 0), (1, 1), (1, 1)])
@@ -176,6 +220,13 @@ class TestDataSet:
 
 
 class TestAffineDimension:
+    def test_cached_per_dataset(self):
+        ds = dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert affine_dimension(ds) == 2 and ds._cache["adim"] == 2
+        ds._cache["adim"] = 7
+        assert affine_dimension(ds) == 7
+        assert affine_dimension(list(ds.points)) == 2
+
     def test_cases(self):
         assert affine_dimension(dataset([(3, 4)])) == 0
         assert affine_dimension(dataset([(0, 0), (1, 1), (2, 2), (1, 1)])) == 1

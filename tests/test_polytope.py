@@ -5,7 +5,7 @@ import operator
 import random
 from fractions import Fraction as F
 
-from halfmed.geometry import as_fraction, convex_hull_2d, dataset, halfspace, point
+from halfmed.geometry import Halfspace, as_fraction, convex_hull_2d, dataset, halfspace, point
 from halfmed.polytope import (
     Polytope,
     _box_3d,
@@ -14,7 +14,6 @@ from halfmed.polytope import (
     _clip_3d,
     _hpoint,
     _hvertex,
-    _int_halfspaces,
     _intersect_2d,
     _intersect_3d,
     _polyhedron_centroid,
@@ -399,14 +398,14 @@ class TestClip3DMatchesCramerReference:
         apex_vertices = 0
         for _ in range(80):
             hs, apex = _flat_halfspaces_3d(rng)
-            ints = _int_halfspaces(hs)
+            ints = [h.ints for h in hs]
             m = _box_bound(ints, 3)
             box = []
             for i in range(3):
                 e = tuple(int(j == i) for j in range(3))
                 box += [halfspace(e, -m), halfspace(tuple(-c for c in e), -m)]
             verts = _box_3d([(-m, m)] * 3)
-            applied = dict(enumerate(_int_halfspaces(box)))
+            applied = dict(enumerate(h.ints for h in box))
             # the reference at one cut along the way and at the last
             checked = {rng.randrange(len(hs)), len(hs) - 1}
             for i, (normal, offset) in enumerate(ints, 6):
@@ -514,7 +513,7 @@ class TestClipMatchesFractionReference:
                 # reversed (clockwise) input gives the same clip
                 assert clip_polygon(shape[::-1], h) == got
                 # the integer routine: reduced homogeneous vertices, w > 0
-                ((normal, offset),) = _int_halfspaces([h])
+                normal, offset = h.ints
                 ints = _clip([_hvertex(v) for v in shape], normal, offset)
                 assert ints == [_hvertex(v) for v in got]
                 assert all(w > 0 and math.gcd(x, y, w) == 1 for x, y, w in ints)
@@ -522,6 +521,59 @@ class TestClipMatchesFractionReference:
         # polygons, segments and points that stay, shrink, collapse to a
         # segment or a point, or vanish
         assert seen == {(3, 3), (3, 2), (3, 1), (3, 0), (2, 2), (2, 1), (2, 0), (1, 1), (1, 0)}
+
+
+def _positions(items, kept):
+    """Positions in ``items`` of the very objects in ``kept``."""
+    ids = [id(x) for x in items]
+    return [ids.index(id(x)) for x in kept]
+
+
+def _scaled(row, f):
+    normal, offset = row
+    return tuple(f * c for c in normal), f * offset
+
+
+class TestPositiveMultiplesOfIntegerRows:
+    """The clips and the deduplication read only the signs of
+    ``normal . x - offset``, so they give identical results when a
+    constraint's integer row is replaced by a positive multiple of it."""
+
+    def test_clip(self):
+        rng = random.Random(1601)
+        for _ in range(200):
+            shape = _random_shape(rng)
+            poly = [_hvertex(v) for v in shape]
+            for h in _cuts_for(rng, shape):
+                want = _clip(poly, *h.ints)
+                assert _clip(poly, *_scaled(h.ints, rng.randint(2, 10**6))) == want, (shape, h)
+
+    def test_clip_3d(self):
+        rng = random.Random(1602)
+        for _ in range(40):
+            hs, _ = _flat_halfspaces_3d(rng)
+            m = _box_bound([h.ints for h in hs], 3)
+            plain = scaled = _box_3d([(-m, m)] * 3)
+            for i, h in enumerate(hs, 6):
+                plain = _clip_3d(plain, i, *h.ints)
+                scaled = _clip_3d(scaled, i, *_scaled(h.ints, rng.randint(2, 10**6)))
+                assert scaled == plain, hs[: i - 5]
+
+    def test_dedup_halfspaces(self):
+        rng = random.Random(1603)
+        draws = [_random_halfspaces_3d(rng)[0] for _ in range(60)]
+        for _ in range(60):
+            shape = _random_shape(rng)
+            draws.append(_cuts_for(rng, shape) + _cuts_for(rng, shape))
+        for hs in draws:
+            copies = []
+            for h in hs:
+                # an equal halfspace whose cached integer row is scaled
+                c = Halfspace(h.normal, h.offset)
+                c.__dict__["ints"] = _scaled(h.ints, rng.randint(2, 10**6))
+                copies.append(c)
+            got = _positions(copies, dedup_halfspaces(copies))
+            assert got == _positions(hs, dedup_halfspaces(hs)), hs
 
 
 class TestUnboundedTestMatchesFractionReference:

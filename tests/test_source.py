@@ -29,3 +29,19 @@ def test_no_raise_assertion_error_in_package():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_denominators_are_cleared_only_in_geometry():
+    # ``geometry.int_point`` is the one routine that clears the denominators
+    # of a rational vector; elsewhere an lcm over denominators is a copy of it
+    found = []
+    for path, node in _nodes():
+        if path.name == "geometry.py" or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "lcm" and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "denominator" for sub in ast.walk(node)
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
