@@ -122,19 +122,6 @@ def _row_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     return c0, [v for v in vecs if v != zero] if c0 else vecs
 
 
-def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
-    """Cut count and boundary indices of ``{r : normal . r >= level}``."""
-    cut = 0
-    boundary = []
-    for i, r in enumerate(rows):
-        s = sum(map(operator.mul, normal, r))
-        if s < level:
-            cut += 1
-        elif s == level:
-            boundary.append(i)
-    return cut, tuple(boundary)
-
-
 def _recount(ds: DataSet, x: Vec, u: Vec) -> tuple[int, int]:
     """Points with ``u . Xi <= u . x``, and how many of them have equality."""
     q, a = int_point(x)

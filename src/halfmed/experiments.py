@@ -33,9 +33,11 @@ from typing import Iterable, Sequence
 
 from .geometry import (
     DataSet,
+    Side,
     affine_dimension,
     dataset,
     format_rational,
+    side_of,
 )
 from .depth import tukey_depth
 from .regions import depth_region, enumerate_irrotatable, median_region
@@ -382,19 +384,12 @@ def _facet_pushes(region, delta: Fraction = Fraction(1, 4096)) -> list[tuple[Fra
         return []
     out = []
     for h in region.halfspaces:
-        anchor = next(
-            (
-                v
-                for v in region.vertices
-                if sum(a * b for a, b in zip(h.normal, v)) == h.offset
-            ),
-            None,
-        )
+        anchor = next((v for v in region.vertices if side_of(h, v) is Side.BOUNDARY), None)
         if anchor is None:
             continue
-        nn = sum(c * c for c in h.normal)
-        step = delta / nn
-        out.append(tuple(a - step * c for a, c in zip(anchor, h.normal)))
+        normal = h.normal
+        step = delta / sum(c * c for c in normal)
+        out.append(tuple(a - step * c for a, c in zip(anchor, normal)))
     return out
 
 

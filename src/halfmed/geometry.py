@@ -3,7 +3,8 @@
 Everything downstream (depth, regions, breakdown analysis) reduces to sign
 tests of inner products, so all geometric state is kept in exact rational
 arithmetic (`fractions.Fraction`).  Points and directions are plain tuples of
-Fractions; halfspaces are closed sets ``{x : normal . x >= offset}``.
+Fractions; halfspaces are closed sets ``{x : normal . x >= offset}``, each
+stored as its reduced integer row.
 
 Datasets may be degenerate on purpose: duplicated points, collinear triples,
 or clouds whose affine hull is a proper subspace.  Nothing in this module
@@ -13,7 +14,9 @@ assumes general position.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -202,53 +205,69 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class Halfspace:
-    """Closed halfspace ``{x : normal . x >= offset}`` with rational data."""
+    """Closed halfspace ``{x : normal . x >= offset}`` stored as its reduced
+    integer row: ``normal = a / den`` and ``offset = b / den`` for
+    ``ints = (a, b)``, with ``den > 0`` and ``gcd(a, b, den) = 1``.
 
-    normal: Vec
-    offset: Fraction
+    The reduced row is unique, so equality and hash compare the rational
+    halfspace.  It is the row times the least common multiple of the
+    denominators.  Build one with :func:`halfspace` from rationals or
+    :meth:`of_row` from integers.
+    """
+
+    ints: tuple[tuple[int, ...], int]
+    den: int
 
     def __post_init__(self) -> None:
-        if is_zero_vec(self.normal):
+        if not any(self.ints[0]):
             raise ValueError("halfspace normal must be nonzero")
 
-    @functools.cached_property
-    def ints(self) -> tuple[tuple[int, ...], int]:
-        """``(normal, offset)`` on integers: the halfspace times the least
-        common multiple of its denominators.  Every consumer gives the same
-        result for any positive multiple of this row."""
-        _, row = int_point((*self.normal, self.offset))
-        return row[:-1], row[-1]
+    @classmethod
+    def of_row(cls, a: Sequence[int], b: int, den: int) -> "Halfspace":
+        """The halfspace ``a . x >= b`` over ``den > 0``, divided by its gcd."""
+        g = math.gcd(*a, b, den)
+        return cls((tuple([c // g for c in a]), b // g), den // g)
+
+    @property
+    def normal(self) -> Vec:
+        return tuple([Fraction(c, self.den) for c in self.ints[0]])
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.ints[1], self.den)
 
     @property
     def dim(self) -> int:
-        return len(self.normal)
+        return len(self.ints[0])
 
     def contains(self, x: Sequence[Fraction]) -> bool:
-        return dot(self.normal, x) >= self.offset
+        a, b = self.ints
+        return dot(a, x) >= b
 
     def canonical(self) -> "Halfspace":
         """Equivalent halfspace with the normal in canonical direction form."""
-        normal, offset = self.canonical_key()
-        return Halfspace(normal, offset)
+        a, b = self.ints
+        return Halfspace.of_row(a, b, abs(next(c for c in a if c)))
 
     def canonical_key(self) -> tuple[Vec, Fraction]:
-        for c in self.normal:
-            if c != 0:
-                s = abs(c)
-                return tuple(v / s for v in self.normal), self.offset / s
-        raise ValueError("zero normal")
+        c = self.canonical()
+        return c.normal, c.offset
 
 
 def halfspace(normal: Iterable[object], offset: object) -> Halfspace:
-    return Halfspace(tuple(as_fraction(c) for c in normal), as_fraction(offset))
+    """``normal . x >= offset`` from rationals; cleared by the lcm of the
+    denominators, the row is already reduced."""
+    den, row = int_point([*map(as_fraction, normal), as_fraction(offset)])
+    return Halfspace((row[:-1], row[-1]), den)
 
 
 def side_of(h: Halfspace, x: Sequence[Fraction]) -> Side:
     """Exact side classification of a point against a halfspace boundary."""
-    s = dot(h.normal, x)
-    if s > h.offset:
+    a, b = h.ints
+    s = dot(a, x)
+    if s > b:
         return Side.INTERIOR
-    if s == h.offset:
+    if s == b:
         return Side.BOUNDARY
     return Side.EXTERIOR
 
@@ -562,12 +581,9 @@ def _box_halfspaces(pts: Sequence[Vec], dims: Sequence[int]) -> list[Halfspace]:
     d = len(pts[0])
     out = []
     for j in dims:
-        lo = min(p[j] for p in pts)
-        hi = max(p[j] for p in pts)
-        e = tuple(Fraction(1 if k == j else 0) for k in range(d))
-        ne = tuple(-c for c in e)
-        out.append(Halfspace(e, lo))
-        out.append(Halfspace(ne, -hi))
+        e = tuple(int(k == j) for k in range(d))
+        out.append(halfspace(e, min(p[j] for p in pts)))
+        out.append(halfspace(tuple(-c for c in e), -max(p[j] for p in pts)))
     return out
 
 
@@ -580,15 +596,15 @@ def _hull_halfspaces_2d(pts: Sequence[Vec]) -> list[Halfspace]:
         t = vsub(b, a)
         n = perp2(t)
         return [
-            Halfspace(n, dot(n, a)),
-            Halfspace(tuple(-c for c in n), -dot(n, a)),
-            Halfspace(t, dot(t, a)),
-            Halfspace(tuple(-c for c in t), -dot(t, b)),
+            halfspace(n, dot(n, a)),
+            halfspace(tuple(-c for c in n), -dot(n, a)),
+            halfspace(t, dot(t, a)),
+            halfspace(tuple(-c for c in t), -dot(t, b)),
         ]
     out = []
     for a, b in zip(hull, hull[1:] + hull[:1]):
         n = perp2(vsub(b, a))  # inward for a CCW boundary
-        out.append(Halfspace(n, dot(n, a)))
+        out.append(halfspace(n, dot(n, a)))
     return out
 
 
@@ -601,39 +617,55 @@ def _hull_halfspaces_3d(ds: DataSet) -> list[Halfspace]:
         frame, reduced = reduce_dataset(ds)
         return frame.equations() + [frame.halfspace(h) for h in hull_halfspaces(reduced)]
 
+    # a facet is a candidate plane with no point strictly on one side,
+    # oriented so that every point satisfies p . x >= off
     scale, rows = ds.scaled_ints()
-    uniq = sorted(set(rows))
-    facets: dict[tuple, Halfspace] = {}
-    m = len(uniq)
-    for i in range(m):
-        for j in range(i + 1, m):
-            eij = tuple(b - a for a, b in zip(uniq[i], uniq[j]))
-            for k in range(j + 1, m):
-                nx = eij[1] * (uniq[k][2] - uniq[i][2]) - eij[2] * (uniq[k][1] - uniq[i][1])
-                ny = eij[2] * (uniq[k][0] - uniq[i][0]) - eij[0] * (uniq[k][2] - uniq[i][2])
-                nz = eij[0] * (uniq[k][1] - uniq[i][1]) - eij[1] * (uniq[k][0] - uniq[i][0])
-                if nx == 0 and ny == 0 and nz == 0:
-                    continue
-                c = nx * uniq[i][0] + ny * uniq[i][1] + nz * uniq[i][2]
-                lo = hi = False
-                for q in uniq:
-                    s = nx * q[0] + ny * q[1] + nz * q[2]
-                    if s < c:
-                        lo = True
-                    elif s > c:
-                        hi = True
-                    if lo and hi:
-                        break
-                if lo and hi:
-                    continue
-                if lo:  # flip so every point satisfies n.x >= c
-                    nx, ny, nz, c = -nx, -ny, -nz, -c
-                key = primitive((nx, ny, nz))
-                if key not in facets:
-                    normal = tuple(Fraction(v) for v in key)
-                    off = key[0] * uniq[i][0] + key[1] * uniq[i][1] + key[2] * uniq[i][2]
-                    facets[key] = Halfspace(normal, Fraction(off, scale))
+    facets: dict[tuple[int, ...], Halfspace] = {}
+    for _, _, p, off in _candidate_planes(rows):
+        cut, boundary = _split(rows, p, off)
+        if cut:
+            if cut + len(boundary) < len(rows):
+                continue
+            p, off = tuple(-c for c in p), -off
+        if p not in facets:
+            facets[p] = Halfspace.of_row(tuple(scale * c for c in p), off, scale)
     return list(facets.values())
+
+
+# ---------------------------------------------------------------------------
+# candidate lines and planes through the data's integer rows
+
+
+def _candidate_planes(rows: list[tuple[int, ...]]):
+    """``(u, u . a, p, p . a)`` per line (d=2) or plane (d=3) through sorted
+    distinct locations ``a, b(, c)``: ``u`` is ``perp(b - a)`` or
+    ``(b - a) x (c - a)``, and ``p`` its primitive multiple."""
+    locs = sorted(set(rows))
+    if len(locs[0]) == 2:
+        for (a0, a1), (b0, b1) in itertools.combinations(locs, 2):
+            u = (a1 - b1, b0 - a0)
+            p = primitive(u)
+            yield u, u[0] * a0 + u[1] * a1, p, p[0] * a0 + p[1] * a1
+        return
+    for a, b, c in itertools.combinations(locs, 3):
+        u = cross3(vsub(b, a), vsub(c, a))
+        if u == (0, 0, 0):
+            continue
+        p = primitive(u)
+        yield u, dot3(u, a), p, dot3(p, a)
+
+
+def _split(rows: list[tuple[int, ...]], normal: tuple[int, ...], level: int):
+    """Cut count and boundary indices of ``{r : normal . r >= level}``."""
+    cut = 0
+    boundary = []
+    for i, r in enumerate(rows):
+        s = sum(map(operator.mul, normal, r))
+        if s < level:
+            cut += 1
+        elif s == level:
+            boundary.append(i)
+    return cut, tuple(boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,8 @@ def _intersect_1d(hs: list[Halfspace]) -> Polytope:
     lo = None
     hi = None
     for h in hs:
-        a = h.normal[0]
-        bound = h.offset / a
+        (a,), b = h.ints
+        bound = Fraction(b, a)
         if a > 0:
             lo = bound if lo is None else max(lo, bound)
         else:

@@ -56,7 +56,6 @@ from typing import Sequence
 
 from .depth import (
     _direction_ints,
-    _split,
     depth_count,
     median_interval_1d,
     quantile_index,
@@ -68,6 +67,8 @@ from .geometry import (
     Halfspace,
     Vec,
     _box_halfspaces,
+    _candidate_planes,
+    _split,
     affine_dimension,
     as_fraction,
     cross3,
@@ -185,7 +186,7 @@ def certificate_for(ds: DataSet, h: Halfspace, tau: object) -> IrrotatableCertif
     tau = as_fraction(tau)
     if not (0 < tau <= 1):
         raise ValueError("tau must lie in (0, 1]")
-    if len(h.normal) != ds.dim:
+    if h.dim != ds.dim:
         raise ValueError("halfspace dimension does not match dataset")
     if ds.dim > 3:
         raise ValueError("certificates support d <= 3")
@@ -248,26 +249,6 @@ def _vertex_count(ds: DataSet, v: Vec, counts: dict[Vec, int]) -> int:
     return cnt
 
 
-def _candidate_planes(rows: list[tuple[int, ...]]):
-    """``(u, u . a, p, p . a)`` per line (d=2) or plane (d=3) through sorted
-    distinct locations ``a, b(, c)``: ``u`` is ``perp(b - a)`` or
-    ``(b - a) x (c - a)``, and ``p`` its primitive multiple."""
-    locs = sorted(set(rows))
-    if len(locs[0]) == 2:
-        for (a0, a1), (b0, b1) in itertools.combinations(locs, 2):
-            u = (a1 - b1, b0 - a0)
-            p = primitive(u)
-            yield u, u[0] * a0 + u[1] * a1, p, p[0] * a0 + p[1] * a1
-        return
-    for a, b, c in itertools.combinations(locs, 3):
-        u = cross3(vsub(b, a), vsub(c, a))
-        if u == (0, 0, 0):
-            continue
-        p = primitive(u)
-        yield (u, u[0] * a[0] + u[1] * a[1] + u[2] * a[2],
-               p, p[0] * a[0] + p[1] * a[1] + p[2] * a[2])
-
-
 def _plane_table(ds: DataSet, deadline: float | None):
     """Every candidate line (d=2) or plane (d=3) with its level-free data.
 
@@ -275,11 +256,12 @@ def _plane_table(ds: DataSet, deadline: float | None):
     ``-u``; one already met is skipped, keyed by its primitive normal and
     offset.  Each entry is ``(halfspace, cut count, boundary indices, sweep
     records)``; both orientations share boundary and records.  The halfspace
-    holds the very Fractions ``u / scale**(d-1)`` and ``u . a / scale**d``.
+    is the integer row ``(scale u, u . a)`` over ``scale**d``, which is
+    ``u / scale**(d-1) . x >= u . a / scale**d`` on the data's coordinates,
+    and its flip is the negated row.
     """
     scale, rows = ds.scaled_ints()
-    d = ds.dim
-    sn, so = scale ** (d - 1), scale**d
+    so = scale**ds.dim
     n = len(rows)
     seen: set = set()
     table = []
@@ -291,10 +273,10 @@ def _plane_table(ds: DataSet, deadline: float | None):
         _check_deadline(deadline)
         cut, boundary = _split(rows, p, off)
         records = _sweep_records(rows, p, boundary)
-        h = Halfspace(tuple(Fraction(x, sn) for x in u), Fraction(uoff, so))
-        flipped = Halfspace(tuple(-x for x in h.normal), -h.offset)
-        table.append((h, cut, boundary, records))
-        table.append((flipped, n - cut - len(boundary), boundary, records))
+        row = tuple(scale * x for x in u)
+        table.append((Halfspace.of_row(row, uoff, so), cut, boundary, records))
+        table.append((Halfspace.of_row(tuple(map(operator.neg, row)), -uoff, so),
+                      n - cut - len(boundary), boundary, records))
     return table
 
 
@@ -361,8 +343,9 @@ def _quantile_cut(ds: DataSet, u: Vec, tau: Fraction) -> Halfspace:
     sorted by ``p . r``, once per primitive direction ``p``, as references
     to the rows rather than one new integer per row; with no scope open
     they are sorted for this call only.  For ``u = g p / uden`` and ``r_k``
-    the k-th row, the quantile is ``g p . r_k / (uden * scale)``: the same
-    Fraction.
+    the k-th row, the quantile is ``g p . r_k / (uden * scale)``, so the
+    halfspace is the integer row ``(scale ui, g p . r_k)`` over
+    ``uden * scale``.  ``u`` may hold ints or Fractions.
     """
     uden, ui = int_point(u)
     g = math.gcd(*ui)
@@ -375,19 +358,12 @@ def _quantile_cut(ds: DataSet, u: Vec, tau: Fraction) -> Halfspace:
         projs = [sum(map(operator.mul, p, r)) for r in rows]
         ranked = table[p] = [rows[i] for i in sorted(range(len(rows)), key=projs.__getitem__)]
     pk = sum(map(operator.mul, p, ranked[quantile_index(ds.n, tau) - 1]))
-    return halfspace(u, Fraction(g * pk, uden * scale))
+    return Halfspace.of_row(tuple(scale * c for c in ui), g * pk, uden * scale)
 
 
 def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
-    d = ds.dim
-    out = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        out.append(_quantile_cut(ds, tuple(e), tau))
-        e[i] = Fraction(-1)
-        out.append(_quantile_cut(ds, tuple(e), tau))
-    return out
+    units = [tuple(int(i == j) for i in range(ds.dim)) for j in range(ds.dim)]
+    return [_quantile_cut(ds, s, tau) for e in units for s in (e, tuple(-c for c in e))]
 
 
 def _contact_location(ds: DataSet, u: Vec, k: int) -> Vec:
@@ -706,7 +682,7 @@ def _coordinatewise_median(ds: DataSet) -> Vec:
     n = ds.n
     cols = []
     for j in range(ds.dim):
-        e = tuple(Fraction(int(i == j)) for i in range(ds.dim))
+        e = tuple(int(i == j) for i in range(ds.dim))
         cols.append((_quantile_cut(ds, e, Fraction((n + 1) // 2, n)).offset
                      + _quantile_cut(ds, e, Fraction(n // 2 + 1, n)).offset) / 2)
     return tuple(cols)

@@ -979,12 +979,12 @@ def reference_int_point(x):
     return q, tuple(c.numerator * (q // c.denominator) for c in x)
 
 
-def reference_int_halfspace(h):
-    """``normal . x >= offset`` on integers: ``h`` times the lcm of the
-    denominators of its normal and offset."""
-    scale = math.lcm(*(c.denominator for c in (*h.normal, h.offset)))
-    normal = tuple(c.numerator * (scale // c.denominator) for c in h.normal)
-    return normal, h.offset.numerator * (scale // h.offset.denominator)
+def reference_int_halfspace(normal, offset):
+    """``normal . x >= offset`` on integers: the Fraction halfspace times the
+    lcm of the denominators of its normal and offset."""
+    scale = math.lcm(*(c.denominator for c in (*normal, offset)))
+    return (tuple(c.numerator * (scale // c.denominator) for c in normal),
+            offset.numerator * (scale // offset.denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -179,13 +179,20 @@ class TestIntegerForms:
             normal = _random_rational_vector(rng, d)
             if not any(normal):
                 continue
-            h = Halfspace(normal, _random_rational_vector(rng, 1)[0])
-            before = (repr(h), hash(h))
-            assert h.ints == reference_int_halfspace(h)
-            assert h.ints is h.ints  # computed once
-            # the cached row is no field: repr, hash and equality stay
-            assert (repr(h), hash(h)) == before
-            assert h == Halfspace(h.normal, h.offset)
+            (offset,) = _random_rational_vector(rng, 1)
+            h = halfspace(normal, offset)
+            # the stored row is the lcm form, which is the reduced one
+            assert h.ints == reference_int_halfspace(normal, offset)
+            assert h.den == math.lcm(*(c.denominator for c in (*normal, offset)))
+            assert math.gcd(*h.ints[0], h.ints[1], h.den) == 1
+            # the Fraction views give the input back, and rebuild h
+            assert (h.normal, h.offset) == (normal, offset)
+            assert halfspace(h.normal, h.offset) == h
+            assert hash(halfspace(h.normal, h.offset)) == hash(h)
+            # a positive multiple of the row reduces back to it
+            a, b = h.ints
+            k = rng.randint(2, 10**6)
+            assert Halfspace.of_row(tuple(k * c for c in a), k * b, k * h.den) == h
 
 
 class TestDataSet:

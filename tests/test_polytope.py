@@ -568,10 +568,9 @@ class TestPositiveMultiplesOfIntegerRows:
         for hs in draws:
             copies = []
             for h in hs:
-                # an equal halfspace whose cached integer row is scaled
-                c = Halfspace(h.normal, h.offset)
-                c.__dict__["ints"] = _scaled(h.ints, rng.randint(2, 10**6))
-                copies.append(c)
+                # the same halfspace on an unreduced, scaled integer row
+                k = rng.randint(2, 10**6)
+                copies.append(Halfspace(_scaled(h.ints, k), h.den * k))
             got = _positions(copies, dedup_halfspaces(copies))
             assert got == _positions(hs, dedup_halfspaces(hs)), hs
 

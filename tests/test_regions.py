@@ -7,6 +7,7 @@ batteries re-verify the region machinery against that oracle on degenerate
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -33,10 +34,12 @@ from halfmed import (
 
 from halfmed import polytope, regions
 from halfmed.depth import depth_count
+from halfmed.geometry import hull_halfspaces
 from halfmed.regions import _bracketing_criticals_2d, _contact_location
 from oracles import (
     oracle_depth_count,
     random_dataset,
+    random_flat_dataset_3d,
     random_probe,
     reference_bisect_levels,
     reference_bracketing_criticals_2d,
@@ -787,6 +790,33 @@ class TestFlatDataReducedOnce:
             want = depth_region(self.BALL, F(k, 60)).polytope
             assert got.empty == want.empty
             assert sorted(v[:2] for v in got.vertices) == sorted(want.vertices)
+
+
+class TestHalfspacesAreReduced:
+    """Every halfspace that leaves the region layer is stored as its reduced
+    integer row over a positive denominator, on which equality relies."""
+
+    @staticmethod
+    def _check(hs, ds):
+        for h in hs:
+            a, b = h.ints
+            assert h.den > 0 and math.gcd(*a, b, h.den) == 1, (ds.points, h)
+
+    def test_degenerate_sets_2d_and_3d(self):
+        rng = random.Random(1801)
+        sets = _level_search_2d_sets()[:24] + [CLUSTER_3D] + _degenerate_3d_sets(1802, 4, 10)
+        sets += [random_flat_dataset_3d(rng, adim) for adim in (1, 2, 2)]
+        for ds in sets:
+            self._check(hull_halfspaces(ds), ds)
+            self._check(median_region(ds).region.halfspaces, ds)
+            full = affine_dimension(ds) == ds.dim
+            for k in {1, (ds.n + 3) // 4, ds.n // 2}:
+                tau = F(k, ds.n)
+                self._check(depth_region(ds, tau).polytope.halfspaces, ds)
+                if full:
+                    res = depth_region(ds, tau, method="certificates")
+                    self._check(res.polytope.halfspaces, ds)
+                    self._check([c.halfspace for c in enumerate_irrotatable(ds, tau)], ds)
 
 
 # ---------------------------------------------------------------------------

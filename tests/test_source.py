@@ -45,3 +45,17 @@ def test_denominators_are_cleared_only_in_geometry():
         ):
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_halfspaces_are_built_only_in_geometry():
+    # ``Halfspace`` stores a reduced integer row, which its equality relies
+    # on; elsewhere one comes from ``halfspace`` or ``Halfspace.of_row``
+    found = []
+    for path, node in _nodes():
+        if path.name == "geometry.py" or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "Halfspace":
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
