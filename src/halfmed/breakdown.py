@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -62,24 +63,35 @@ _DESCENT_GAP = Fraction(1, 2**40)
 
 @dataclass(frozen=True)
 class ProjectionFrame:
-    """Exact rational basis of the orthocomplement of ``u``.
+    """Exact integer basis of the orthocomplement of ``u``.
 
-    Columns are pairwise orthogonal and orthogonal to ``u`` but not unit
-    length: halfspace-depth combinatorics in the projected space are
-    invariant to positive column scaling, so normalization (which would
-    leave the rationals) is unnecessary.
+    Columns are primitive integer vectors, pairwise orthogonal and
+    orthogonal to ``u``, but not unit length: halfspace-depth combinatorics
+    in the projected space are invariant to positive column scaling, so
+    normalization (which would leave the rationals) is unnecessary.
     """
 
     u: Vec
     basis: tuple[Vec, ...]
 
 
-def _primitive(v: Sequence[Fraction]) -> Vec:
-    return tuple(Fraction(c) for c in primitive(int_point(v)[1]))
+def _signed(v: tuple[int, ...]) -> tuple[int, ...]:
+    """``v`` or ``-v``, whichever has a positive first nonzero entry."""
+    lead = next(c for c in v if c != 0)
+    return v if lead > 0 else tuple(-c for c in v)
 
 
 def projection_frame(u: Sequence, d: int | None = None) -> ProjectionFrame:
-    """Orthogonal rational basis of ``u``'s orthocomplement (Gram-Schmidt)."""
+    """Orthogonal integer basis of ``u``'s orthocomplement, by cross products.
+
+    With ``ui`` the integer form of ``u``, the plane's basis is
+    ``(ui1, -ui0)``; in space it is ``b0 = ui x (e_j x ui)`` for the first
+    unit vector ``e_j`` off ``u``'s line, then ``b1 = ui x b0``, whose
+    entries up to j are zero.  Each is primitive and signed so that its
+    first nonzero entry is positive, which makes them the Gram-Schmidt
+    vectors of ``e_0, e_1, ...`` against ``u``, each scaled to a primitive
+    integer vector.
+    """
     uvec = tuple(as_fraction(c) for c in u)
     if d is None:
         d = len(uvec)
@@ -87,28 +99,33 @@ def projection_frame(u: Sequence, d: int | None = None) -> ProjectionFrame:
         raise ValueError("direction length does not match dimension")
     if all(c == 0 for c in uvec):
         raise ValueError("zero direction has no projection frame")
-    if d < 2:
-        raise ValueError("projection frames require dimension >= 2")
-    basis: list[Vec] = []
-    uu = dot(uvec, uvec)
-    for j in range(d):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(d))
-        f = tuple(ec - Fraction(dot(uvec, e), uu) * uc for ec, uc in zip(e, uvec))
-        for b in basis:
-            bb = dot(b, b)
-            f = tuple(fc - Fraction(dot(b, f), bb) * bc for fc, bc in zip(f, b))
-        if any(c != 0 for c in f):
-            basis.append(_primitive(f))
-        if len(basis) == d - 1:
-            break
-    return ProjectionFrame(uvec, tuple(basis))
+    if d not in (2, 3):
+        raise ValueError("projection frames support d in {2, 3}")
+    ui = int_point(uvec)[1]
+    if d == 2:
+        basis = [_signed(primitive((ui[1], -ui[0])))]
+    else:
+        j = 0 if ui[1] or ui[2] else 1
+        b0 = _signed(primitive(cross3(ui, cross3(tuple(int(i == j) for i in range(3)), ui))))
+        basis = [b0, _signed(primitive(cross3(ui, b0)))]
+    return ProjectionFrame(uvec, tuple(tuple(map(Fraction, b)) for b in basis))
+
+
+def _projections(ds: DataSet, frame: ProjectionFrame) -> list[list[Fraction]]:
+    """One column per basis vector ``b``: each ``b . X_i`` made as one
+    Fraction ``b . nums_i / den_i`` from the integer rows."""
+    if len(frame.u) != ds.dim:
+        raise ValueError("frame dimension does not match dataset")
+    dens, nums = ds.row_ints()
+    return [
+        [Fraction(sum(map(operator.mul, b, r)), den) for den, r in zip(dens, nums)]
+        for b in (tuple(c.numerator for c in v) for v in frame.basis)
+    ]
 
 
 def project_dataset(ds: DataSet, frame: ProjectionFrame) -> DataSet:
     """Images of the points under the frame's basis (multiplicity kept)."""
-    if len(frame.u) != ds.dim:
-        raise ValueError("frame dimension does not match dataset")
-    return dataset([tuple(dot(b, p) for b in frame.basis) for p in ds.points])
+    return DataSet(tuple(zip(*_projections(ds, frame))))
 
 
 def projected_lambda(ds: DataSet, u: Sequence) -> Fraction:
@@ -116,10 +133,16 @@ def projected_lambda(ds: DataSet, u: Sequence) -> Fraction:
     if ds.dim not in (2, 3):
         raise ValueError("projected depth levels support d in {2, 3}")
     frame = projection_frame(u, ds.dim)
-    proj = project_dataset(ds, frame)
-    if proj.dim == 1:
-        return max_depth_1d([p[0] for p in proj.points])[0]
-    return median_region(proj).lambda_star
+    if ds.dim == 2:
+        return max_depth_1d(_projections(ds, frame)[0])[0]
+    return median_region(project_dataset(ds, frame)).lambda_star
+
+
+def _anchors_1d(ds: DataSet, frame: ProjectionFrame) -> tuple[list[Vec], Fraction]:
+    """The ends of the projected 1-D median interval (one when they meet)
+    and its depth: the anchors ``x0`` of planar attacks."""
+    lo, hi, lam = median_interval_1d(_projections(ds, frame)[0])
+    return ([(lo,), (hi,)] if hi != lo else [(lo,)]), lam
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +153,11 @@ def projected_lambda(ds: DataSet, u: Sequence) -> Fraction:
 class DirectionSearchConfig:
     """Controls the direction search of :func:`upper_bound`.
 
-    ``probes`` pseudo-random directions are tried first to hit the exact
-    pinch floor, and a probe that reaches it ends the search: no direction
-    goes below the floor, so a sweep after it could not improve the bound.
-    Otherwise ``exhaustive`` runs the exact d=2 critical sweep.
+    The d unit vectors and ``probes`` pseudo-random directions are tried
+    first, then the net: the d=2 critical sweep when ``exhaustive`` is set,
+    and in space always the cross-product net.  A direction that reaches
+    the exact pinch floor ends the search: no direction goes below the
+    floor, so nothing after it could improve the bound.
     """
 
     probes: int = 32
@@ -158,47 +182,50 @@ def _pinch_floor(n: int, projected_dim: int) -> Fraction:
     return Fraction(-(-n // (projected_dim + 1)), n)
 
 
-def _probe_directions(d: int, cfg: DirectionSearchConfig) -> list[Vec]:
+def _probe_directions(d: int, cfg: DirectionSearchConfig) -> list[tuple[int, ...]]:
     import random
 
     rng = random.Random(cfg.seed)
-    dirs: list[Vec] = []
-    for j in range(d):
-        e = [Fraction(0)] * d
-        e[j] = Fraction(1)
-        dirs.append(tuple(e))
+    dirs = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     for _ in range(cfg.probes):
-        v = tuple(Fraction(rng.randint(-999, 999)) for _ in range(d))
-        if any(c != 0 for c in v):
+        v = tuple(rng.randint(-999, 999) for _ in range(d))
+        if any(v):
             dirs.append(v)
     return dirs
 
 
-def _tie_directions_2d(ds: DataSet) -> list[Vec]:
-    """Directions parallel to point differences: where projections tie."""
-    seen: set[tuple] = set()
-    out: list[Vec] = []
-    uniq = sorted(set(ds.points))
-    for a, b in itertools.combinations(uniq, 2):
-        v = _primitive(vsub(b, a))
+def _pair_directions(ds: DataSet) -> list[tuple[int, ...]]:
+    """Primitive differences ``b - a`` of the sorted distinct integer rows,
+    one per pair ``a < b``."""
+    rows = sorted(set(ds.scaled_ints()[1]))
+    return [primitive(tuple(map(operator.sub, b, a))) for a, b in itertools.combinations(rows, 2)]
+
+
+def _tie_and_arc_directions(ds: DataSet) -> list[tuple[int, ...]]:
+    """The directions parallel to point differences, where projections tie,
+    by angle; then the sum of each neighbouring pair: one representative
+    per arc between them."""
+    ties: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for v in _pair_directions(ds):
         for w in (v, tuple(-c for c in v)):
-            key = tuple(w)
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-    return out
+            if w not in seen:
+                seen.add(w)
+                ties.append(w)
+    ties.sort(key=lambda v: math.atan2(v[1], v[0]))
+    mids = (tuple(map(operator.add, a, b)) for a, b in zip(ties, ties[1:] + ties[:1]))
+    return ties + [mid for mid in mids if any(mid)]
 
 
-def _tie_and_arc_directions(ds: DataSet) -> list[Vec]:
-    """The tie directions by angle, then the sum of each neighbouring pair:
-    one representative per arc between them."""
-    ties = sorted(_tie_directions_2d(ds), key=lambda v: math.atan2(float(v[1]), float(v[0])))
-    out = list(ties)
-    for a, b in zip(ties, ties[1:] + ties[:1]):
-        mid = tuple(ac + bc for ac, bc in zip(a, b))
-        if any(c != 0 for c in mid):
-            out.append(mid)
-    return out
+def _cross_directions(ds: DataSet) -> Iterator[tuple[int, ...]]:
+    """The 3-D net: primitive cross products of pairs of point differences,
+    each the first time it occurs."""
+    seen: set[tuple[int, ...]] = set()
+    for v, w in itertools.combinations(_pair_directions(ds), 2):
+        c = primitive(cross3(v, w))
+        if any(c) and c not in seen:
+            seen.add(c)
+            yield c
 
 
 def upper_bound(
@@ -206,14 +233,15 @@ def upper_bound(
 ) -> UpperBoundResult:
     """Minimize the projected depth level over directions.
 
-    For d=2 the minimum is exact: the projected order changes only at
-    directions parallel to point differences, so ``lambda_u*`` is piecewise
-    constant on the circle and its minimum is attained on the finite set of
-    tie directions plus one representative per arc between them.  If a
-    probed direction already attains the unimprovable floor (median depth
-    of a tie-free projection), the sweep is skipped.  For d=3 the result is
-    exact only when pinched; otherwise it is the minimum over a candidate
-    net (data cross products plus random probes), flagged ``exact=False``.
+    One loop runs the probe directions, then the net, and stops at the
+    first direction that reaches the pinch floor; that loop is the place
+    for any further stop.  For d=2 the ``exhaustive`` sweep makes the
+    minimum exact: the projected order changes only at directions parallel
+    to point differences, so ``lambda_u*`` is piecewise constant on the
+    circle and its minimum is attained on the finite set of tie directions
+    plus one representative per arc between them.  For d=3 the net is the
+    cross products of point-difference pairs, and the result is exact only
+    when pinched; otherwise it is flagged ``exact=False``.
     """
     cfg = search or DirectionSearchConfig()
     d = ds.dim
@@ -222,48 +250,22 @@ def upper_bound(
     if affine_dimension(ds) < d:
         raise ValueError("the projection upper bound requires full affine dimension")
     floor = _pinch_floor(ds.n, d - 1)
+    swept = d == 2 and cfg.exhaustive
+    net = _cross_directions(ds) if d == 3 else _tie_and_arc_directions(ds) if swept else ()
 
     best: Fraction | None = None
-    best_u: Vec | None = None
-    for u in _probe_directions(d, cfg):
+    best_u: tuple[int, ...] | None = None
+    for u in itertools.chain(_probe_directions(d, cfg), net):
         lam = projected_lambda(ds, u)
         if best is None or lam < best:
             best, best_u = lam, u
         if lam == floor:
-            return UpperBoundResult(lam / (1 + lam), u, lam, True)
-
-    if d == 2 and cfg.exhaustive:
-        for u in _tie_and_arc_directions(ds):
-            lam = projected_lambda(ds, u)
-            if best is None or lam < best:
-                best, best_u = lam, u
-        if best is None or best_u is None:
-            raise RuntimeError("no candidate direction for the planar upper bound")
-        return UpperBoundResult(best / (1 + best), best_u, best, True)
-
-    if d == 3:
-        uniq = sorted(set(ds.points))
-        cands: list[Vec] = []
-        seen: set[tuple] = set()
-        diffs = [_primitive(vsub(b, a)) for a, b in itertools.combinations(uniq, 2)]
-        for v, w in itertools.combinations(diffs, 2):
-            c = cross3(v, w)
-            if all(x == 0 for x in c):
-                continue
-            p = _primitive(c)
-            if tuple(p) not in seen:
-                seen.add(tuple(p))
-                cands.append(p)
-        for u in cands:
-            lam = projected_lambda(ds, u)
-            if best is None or lam < best:
-                best, best_u = lam, u
-            if lam == floor:
-                return UpperBoundResult(lam / (1 + lam), u, lam, True)
-
+            break
     if best is None or best_u is None:
         raise RuntimeError("no candidate direction for the upper bound")
-    return UpperBoundResult(best / (1 + best), best_u, best, best == floor)
+    return UpperBoundResult(
+        best / (1 + best), tuple(map(Fraction, best_u)), best, swept or best == floor
+    )
 
 
 def lower_bound(ds: DataSet) -> Fraction:
@@ -368,12 +370,11 @@ def build_attack(
     if dist <= 0:
         raise ValueError("distance must be positive")
     frame = projection_frame(u, ds.dim)
-    proj = project_dataset(ds, frame)
 
-    if proj.dim == 1:
-        lo, hi, lam_u = median_interval_1d([p[0] for p in proj.points])
-        candidates = [(lo,), (hi,)] if hi != lo else [(lo,)]
+    if ds.dim == 2:
+        candidates, lam_u = _anchors_1d(ds, frame)
     else:
+        proj = project_dataset(ds, frame)
         mr = median_region(proj)
         lam_u = mr.lambda_star
         candidates = sorted(_exposed_vertices(mr.region, proj))
@@ -571,17 +572,14 @@ def exact_breakdown(
 
     directions = _tie_and_arc_directions(ds)
     for ax in ((1, 0), (-1, 0), (0, 1), (0, -1)):  # axis-extreme placements
-        v = tuple(Fraction(c) for c in ax)
-        if v not in directions:
-            directions.append(v)
+        if ax not in directions:
+            directions.append(ax)
+    anchors = [(u, _anchors_1d(ds, projection_frame(u, 2))[0]) for u in directions]
 
     scale_list = [as_fraction(s) for s in scales]
     for m in range(max(1, m_floor), m_max + 1):
-        for u in directions:
-            frame = projection_frame(u, 2)
-            proj = project_dataset(ds, frame)
-            lo, hi, _ = median_interval_1d([p[0] for p in proj.points])
-            for x0 in sorted({(lo,), (hi,)}):
+        for u, x0s in anchors:
+            for x0 in x0s:
                 ok_plan: ContaminationPlan | None = None
                 for scale in scale_list:
                     plan = build_attack(ds, u, scale, m=m, x0=x0)

@@ -81,10 +81,6 @@ class DepthResult:
 # integer preparation
 
 
-def _direction_ints(u: Sequence[Fraction]) -> tuple[int, ...]:
-    return int_point(u)[1]
-
-
 def _query_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
     """Differences ``Xi - x`` as integer tuples sharing one positive scale."""
     scale, rows = ds.scaled_ints()
@@ -125,7 +121,7 @@ def _row_vectors(ds: DataSet, x: Vec) -> tuple[int, list[tuple[int, ...]]]:
 def _recount(ds: DataSet, x: Vec, u: Vec) -> tuple[int, int]:
     """Points with ``u . Xi <= u . x``, and how many of them have equality."""
     q, a = int_point(x)
-    ui = _direction_ints(u)
+    ui = int_point(u)[1]
     ua = sum(map(operator.mul, ui, a))
     below = boundary = 0
     for den, r in zip(*ds.row_ints()):
@@ -524,7 +520,8 @@ def depth_count(x: Sequence[object], ds: DataSet) -> int:
 
 
 def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
-    """Minimum count together with an exact witness direction (d = 2 or 3).
+    """Minimum count together with an exact witness direction (d = 2 or 3),
+    whose coordinates are integers.
 
     Cheaper companion of :func:`tukey_depth` used by the region search: no
     canonicalization, no recount.

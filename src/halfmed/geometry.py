@@ -358,17 +358,18 @@ def dataset_from_floats(
 
 
 # ---------------------------------------------------------------------------
-# affine dimension (exact rank of the difference matrix)
+# affine dimension (exact rank of the homogeneous rows)
 
 
 def affine_dimension(ds: DataSet | Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull; cached per dataset."""
+    """Dimension of the affine hull: the rank of the homogeneous rows
+    ``(*p, 1)`` minus one.  Cached per dataset."""
     cache = ds._cache if isinstance(ds, DataSet) else {}
     if "adim" not in cache:
-        pts = ds.points if isinstance(ds, DataSet) else [tuple(p) for p in ds]
+        pts = ds.points if isinstance(ds, DataSet) else list(ds)
         if not pts:
             raise ValueError("affine dimension of an empty set is undefined")
-        cache["adim"] = matrix_rank([vsub(p, pts[0]) for p in pts[1:]])
+        cache["adim"] = matrix_rank([(*p, 1) for p in pts]) - 1
     return cache["adim"]
 
 

@@ -55,7 +55,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .depth import (
-    _direction_ints,
     depth_count,
     median_interval_1d,
     quantile_index,
@@ -73,7 +72,6 @@ from .geometry import (
     as_fraction,
     cross3,
     halfspace,
-    int_point,
     primitive,
     reduce_dataset,
     vsub,
@@ -95,6 +93,9 @@ from .polytope import (
 )
 
 _MAX_CUT_ROUNDS = 500
+
+# a direction of the planar cutting loop: an integer vector over a positive denominator
+_IntDirection = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -336,18 +337,17 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
 # cutting-plane region construction (d = 2 core)
 
 
-def _quantile_cut(ds: DataSet, u: Vec, tau: Fraction) -> Halfspace:
-    """The halfspace ``u . x >= directional_quantile(ds, u, tau)``.
+def _quantile_cut(ds: DataSet, ui: Sequence[int], uden: int, tau: Fraction) -> Halfspace:
+    """The halfspace ``u . x >= directional_quantile(ds, u, tau)`` for ``u = ui / uden``.
 
     An open scope keeps the integer rows ``r`` of ``ds.scaled_ints()``
     sorted by ``p . r``, once per primitive direction ``p``, as references
     to the rows rather than one new integer per row; with no scope open
-    they are sorted for this call only.  For ``u = g p / uden`` and ``r_k``
-    the k-th row, the quantile is ``g p . r_k / (uden * scale)``, so the
+    they are sorted for this call only.  For ``ui = g p`` and ``r_k`` the
+    k-th row, the quantile is ``g p . r_k / (uden * scale)``, so the
     halfspace is the integer row ``(scale ui, g p . r_k)`` over
-    ``uden * scale``.  ``u`` may hold ints or Fractions.
+    ``uden * scale``.
     """
-    uden, ui = int_point(u)
     g = math.gcd(*ui)
     p = tuple(c // g for c in ui)
     scale, rows = ds.scaled_ints()
@@ -363,18 +363,18 @@ def _quantile_cut(ds: DataSet, u: Vec, tau: Fraction) -> Halfspace:
 
 def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
     units = [tuple(int(i == j) for i in range(ds.dim)) for j in range(ds.dim)]
-    return [_quantile_cut(ds, s, tau) for e in units for s in (e, tuple(-c for c in e))]
+    return [_quantile_cut(ds, s, 1, tau) for e in units for s in (e, tuple(-c for c in e))]
 
 
-def _contact_location(ds: DataSet, u: Vec, k: int) -> Vec:
-    """A location attaining the k-th smallest projection under ``u``.
+def _contact_location(ds: DataSet, u: Sequence[int], k: int) -> Vec:
+    """A location attaining the k-th smallest projection under the integer ``u``.
 
     The k-th entry of the points sorted by (projection, location): among
     equal projections the lexicographically smallest location wins.  The
     k-th projection is read from the sorted projections, and only the rows
     tied with it are sorted by location.
     """
-    ux, uy = _direction_ints(u)
+    ux, uy = u
     _, rows = ds.scaled_ints()
     projs = [ux * x + uy * y for x, y in rows]
     ranked = sorted(projs)
@@ -399,17 +399,18 @@ def _distinct_rows(ds: DataSet) -> list[tuple[int, ...]]:
     return cached
 
 
-def _bracketing_criticals_2d(ds: DataSet, u: Vec, contact: Vec) -> list[Vec]:
-    """Nearest critical directions on each side of ``u``.
+def _bracketing_criticals_2d(ds: DataSet, u: Sequence[int], contact: Vec) -> list[_IntDirection]:
+    """Nearest critical directions on each side of the integer ``u``.
 
     Critical directions are perpendiculars of differences between the
     quantile contact location and other sample locations: rotating ``u``
     past one changes the contact set.  If ``u`` is itself critical it is
-    returned alone.  The search runs on the integer rows, where each
-    perpendicular is ``scale`` times the Fraction one; dividing by ``scale``
-    returns the very vectors that become the cut normals.
+    returned alone, over 1.  The search runs on the integer rows, where each
+    perpendicular ``w`` is ``scale`` times the Fraction one, so each result
+    is ``(w, scale)``, the integer form of the direction that becomes the
+    cut normal.
     """
-    ux, uy = _direction_ints(u)
+    ux, uy = u
     scale, _ = ds.scaled_ints()
     cx, cy = (int(c * scale) for c in contact)
     best_left: tuple[int, int] | None = None
@@ -423,18 +424,14 @@ def _bracketing_criticals_2d(ds: DataSet, u: Vec, contact: Vec) -> list[Vec]:
         # and -w then lies clockwise; c == 0 means u is already critical
         c = ux * dx + uy * dy
         if c == 0:
-            return [u]
+            return [(u, 1)]
         left = (-dy, dx) if c > 0 else (dy, -dx)
         right = (-left[0], -left[1])
         if best_left is None or (left[0] * best_left[1] - left[1] * best_left[0]) > 0:
             best_left = left
         if best_right is None or (right[0] * best_right[1] - right[1] * best_right[0]) < 0:
             best_right = right
-    out = []
-    for w in (best_left, best_right):
-        if w is not None:
-            out.append((Fraction(w[0], scale), Fraction(w[1], scale)))
-    return out
+    return [(w, scale) for w in (best_left, best_right) if w is not None]
 
 
 def _region_by_cuts_2d(
@@ -442,9 +439,11 @@ def _region_by_cuts_2d(
     tau: Fraction,
     k: int,
     deadline: float | None,
-    seed_directions: Sequence[Vec] = (),
-) -> tuple[Polytope, list[Vec]]:
+    seed_directions: Sequence[_IntDirection] = (),
+) -> tuple[Polytope, list[_IntDirection]]:
     """Exact cutting-plane loop; returns the region and the cut directions.
+
+    A cut's direction is its normal ``(cut.ints[0], cut.den)``.
 
     One integer polygon is carried through the rounds: the axis quantile
     box, clipped by the seed cuts and then by each round's new cuts.  In an
@@ -470,10 +469,10 @@ def _region_by_cuts_2d(
     xlo, neg_xhi, ylo, neg_yhi = (h.offset for h in constraints)
     poly = _box_polygon(xlo, -neg_xhi, ylo, -neg_yhi)
     start = len(constraints)  # the constraints from here on are not clipped yet
-    directions: list[Vec] = []
-    for u in seed_directions:
-        if admit(_quantile_cut(ds, u, tau)):
-            directions.append(u)
+    directions: list[_IntDirection] = []
+    for ui, uden in seed_directions:
+        if admit(_quantile_cut(ds, ui, uden, tau)):
+            directions.append((ui, uden))
     certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
         _check_deadline(deadline)
@@ -495,20 +494,21 @@ def _region_by_cuts_2d(
             # tighten the witness direction to the bracketing critical
             # directions of its quantile-contact arc; they cut at least as
             # deep and come from a finite family (termination)
-            contact = _contact_location(ds, u_wit, k)
+            wi = tuple(c.numerator for c in u_wit)  # witnesses are integer vectors
+            contact = _contact_location(ds, wi, k)
             cuts = []
-            for w in _bracketing_criticals_2d(ds, u_wit, contact):
-                cut = _quantile_cut(ds, w, tau)
+            for w, wden in _bracketing_criticals_2d(ds, wi, contact):
+                cut = _quantile_cut(ds, w, wden, tau)
                 (a, b), c = cut.ints
                 if a * hv[0] + b * hv[1] < c * hv[2]:
                     cuts.append(cut)
             if not cuts:
                 # rare fallback: the raw witness quantile halfspace always
                 # separates v from the region
-                cuts.append(_quantile_cut(ds, u_wit, tau))
+                cuts.append(_quantile_cut(ds, wi, 1, tau))
             for cut in cuts:
                 if admit(cut):
-                    directions.append(cut.normal)
+                    directions.append((cut.ints[0], cut.den))
         if len(constraints) == start:
             region = _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly)
             scope = ds._cache.get(_SCOPE)
@@ -683,8 +683,8 @@ def _coordinatewise_median(ds: DataSet) -> Vec:
     cols = []
     for j in range(ds.dim):
         e = tuple(int(i == j) for i in range(ds.dim))
-        cols.append((_quantile_cut(ds, e, Fraction((n + 1) // 2, n)).offset
-                     + _quantile_cut(ds, e, Fraction(n // 2 + 1, n)).offset) / 2)
+        cols.append((_quantile_cut(ds, e, 1, Fraction((n + 1) // 2, n)).offset
+                     + _quantile_cut(ds, e, 1, Fraction(n // 2 + 1, n)).offset) / 2)
     return tuple(cols)
 
 
@@ -729,7 +729,7 @@ def _bisect_levels(
     build is seeded with the previous build's cut directions.
     """
     n = ds.n
-    seeds: list[Vec] = []
+    seeds: list[_IntDirection] = []
 
     def build(k: int) -> Polytope:
         nonlocal seeds

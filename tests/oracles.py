@@ -639,11 +639,7 @@ def reference_region_by_cuts_2d(ds: DataSet, tau, k: int, seed_directions=()):
     """The 2-D cutting loop with one reference intersection per round."""
     from halfmed.depth import directional_quantile, witness_cut
     from halfmed.geometry import halfspace
-    from halfmed.regions import (
-        _axis_quantile_box,
-        _bracketing_criticals_2d,
-        _contact_location,
-    )
+    from halfmed.regions import _axis_quantile_box
 
     constraints = _axis_quantile_box(ds, tau)
     seen_keys = {h.canonical_key() for h in constraints}
@@ -670,9 +666,9 @@ def reference_region_by_cuts_2d(ds: DataSet, tau, k: int, seed_directions=()):
                 continue
             if u_wit is None:
                 _, u_wit = witness_cut(v, ds)
-            contact = _contact_location(ds, u_wit, k)
+            contact = reference_contact_location(ds, u_wit, k)
             cuts = []
-            for w in _bracketing_criticals_2d(ds, u_wit, contact):
+            for w in reference_bracketing_criticals_2d(ds, u_wit, contact):
                 qw = directional_quantile(ds, w, tau)
                 if sum(wc * vc for wc, vc in zip(w, v)) < qw:
                     cuts.append(halfspace(w, qw))
@@ -1131,3 +1127,121 @@ def reference_polygon_centroid(cycle) -> tuple:
         cx += (x0 + x1) * w
         cy += (y0 + y1) * w
     return (cx / (3 * a2), cy / (3 * a2))
+
+
+# ---------------------------------------------------------------------------
+# reference breakdown search: Gram-Schmidt frames, Fraction projections and
+# the three search loops (probes, planar sweep, 3-D net) with their stops
+
+
+def _reference_primitive(v):
+    """A rational vector as coprime integers, sign kept, held in Fractions."""
+    _, ints = reference_int_point(tuple(Fraction(c) for c in v))
+    g = math.gcd(*ints)
+    return tuple(Fraction(c // g) for c in ints)
+
+
+def _reference_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def reference_projection_frame(u, d):
+    """Gram-Schmidt of ``e_0, e_1, ...`` against ``u``, each vector made primitive."""
+    from halfmed.breakdown import ProjectionFrame
+
+    uvec = tuple(Fraction(c) for c in u)
+    basis = []
+    uu = _reference_dot(uvec, uvec)
+    for j in range(d):
+        e = tuple(Fraction(int(i == j)) for i in range(d))
+        f = tuple(ec - _reference_dot(uvec, e) / uu * uc for ec, uc in zip(e, uvec))
+        for b in basis:
+            f = tuple(fc - _reference_dot(b, f) / _reference_dot(b, b) * bc for fc, bc in zip(f, b))
+        if any(c != 0 for c in f):
+            basis.append(_reference_primitive(f))
+        if len(basis) == d - 1:
+            break
+    return ProjectionFrame(uvec, tuple(basis))
+
+
+def reference_projections(ds: DataSet, frame):
+    """One column of Fraction dot products ``b . X_i`` per basis vector."""
+    return [[_reference_dot(b, p) for p in ds.points] for b in frame.basis]
+
+
+def reference_projected_lambda(ds: DataSet, u) -> Fraction:
+    from halfmed.depth import max_depth_1d
+    from halfmed.geometry import dataset
+    from halfmed.regions import median_region
+
+    cols = reference_projections(ds, reference_projection_frame(u, ds.dim))
+    if ds.dim == 2:
+        return max_depth_1d(cols[0])[0]
+    return median_region(dataset(zip(*cols))).lambda_star
+
+
+def reference_tie_and_arc_directions(ds: DataSet):
+    """Fraction tie directions (both signs of each point difference) by
+    angle, then the sum of each neighbouring pair."""
+    seen, ties = set(), []
+    for a, b in itertools.combinations(sorted(set(ds.points)), 2):
+        v = _reference_primitive(tuple(y - x for x, y in zip(a, b)))
+        for w in (v, tuple(-c for c in v)):
+            if w not in seen:
+                seen.add(w)
+                ties.append(w)
+    ties.sort(key=lambda v: math.atan2(float(v[1]), float(v[0])))
+    out = list(ties)
+    for a, b in zip(ties, ties[1:] + ties[:1]):
+        mid = tuple(x + y for x, y in zip(a, b))
+        if any(c != 0 for c in mid):
+            out.append(mid)
+    return out
+
+
+def reference_upper_bound(ds: DataSet, cfg=None):
+    """The probe loop, then the full planar sweep, or the 3-D net with its
+    floor stop, all on Fraction directions."""
+    from halfmed.breakdown import DirectionSearchConfig, UpperBoundResult
+
+    cfg = cfg or DirectionSearchConfig()
+    d, n = ds.dim, ds.n
+    floor = Fraction(-(-n // d), n)
+    rng = random.Random(cfg.seed)
+    probes = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
+    for _ in range(cfg.probes):
+        v = tuple(Fraction(rng.randint(-999, 999)) for _ in range(d))
+        if any(c != 0 for c in v):
+            probes.append(v)
+    best = best_u = None
+    for u in probes:
+        lam = reference_projected_lambda(ds, u)
+        if best is None or lam < best:
+            best, best_u = lam, u
+        if lam == floor:
+            return UpperBoundResult(lam / (1 + lam), u, lam, True)
+    if d == 2 and cfg.exhaustive:
+        for u in reference_tie_and_arc_directions(ds):
+            lam = reference_projected_lambda(ds, u)
+            if lam < best:
+                best, best_u = lam, u
+        return UpperBoundResult(best / (1 + best), best_u, best, True)
+    if d == 3:
+        uniq = sorted(set(ds.points))
+        diffs = [_reference_primitive(tuple(y - x for x, y in zip(a, b)))
+                 for a, b in itertools.combinations(uniq, 2)]
+        seen = set()
+        for v, w in itertools.combinations(diffs, 2):
+            c = _cross(v, w)
+            if all(x == 0 for x in c):
+                continue
+            u = _reference_primitive(c)
+            if u in seen:
+                continue
+            seen.add(u)
+            lam = reference_projected_lambda(ds, u)
+            if lam < best:
+                best, best_u = lam, u
+            if lam == floor:
+                return UpperBoundResult(lam / (1 + lam), u, lam, True)
+    return UpperBoundResult(best / (1 + best), best_u, best, best == floor)

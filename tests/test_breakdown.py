@@ -6,6 +6,7 @@ against the exact region machinery.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from halfmed import (
     degenerate_sampler,
     exact_breakdown,
     lower_bound,
+    median_interval_1d,
     median_region,
     project_dataset,
     projected_lambda,
@@ -32,11 +34,20 @@ from halfmed import (
     sample,
     symmetrize,
     tukey_depth,
+    uniform_ball,
     upper_bound,
     verify_attack,
 )
 
-from oracles import random_dataset, reference_sup_depth_on_hull
+from oracles import (
+    random_dataset,
+    reference_projected_lambda,
+    reference_projection_frame,
+    reference_projections,
+    reference_sup_depth_on_hull,
+    reference_tie_and_arc_directions,
+    reference_upper_bound,
+)
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
 DS_B = dataset([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -76,6 +87,131 @@ class TestProjection:
         # median, so the projected maximal depth is 3/4, not 1/2
         assert projected_lambda(DS_A, (0, 1)) == F(3, 4)
         assert projected_lambda(DS_A, (1, 0)) == F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# integer frames, projections and the one search loop against the Fraction
+# references (Gram-Schmidt, Fraction dot products, three loops)
+
+
+def _degenerate_planar_sets():
+    rng = random.Random(1901)
+    out = []
+    while len(out) < 12:
+        ds = random_dataset(rng, 2, max_n=14, dup_prob=0.4, collinear_prob=0.4)
+        if ds.n >= 4 and affine_dimension(ds) == 2:
+            out.append(ds)
+    return out
+
+
+def _ball_sets_3d():
+    return [sample(uniform_ball(3), n=n, seed=n, bits=21) for n in range(5, 10)]
+
+
+_CONFIGS = [
+    None,
+    DirectionSearchConfig(probes=0, exhaustive=True),
+    DirectionSearchConfig(probes=3, exhaustive=False),
+]
+
+
+class TestIntegerSearchMatchesReference:
+    def test_frames_match_gram_schmidt(self):
+        rng = random.Random(1902)
+        dirs = [u for d in (2, 3) for u in itertools.product(range(-4, 5), repeat=d) if any(u)]
+        for _ in range(200):
+            d = rng.choice((2, 3))
+            u = tuple(F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(d))
+            if any(u):
+                dirs.append(u)
+        for u in dirs:
+            got = projection_frame(u, len(u))
+            assert repr(got) == repr(reference_projection_frame(u, len(u))), u
+        # the cross-product frame exists in the plane and in space only
+        for bad in ((1,), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match="d in"):
+                projection_frame(bad)
+
+    def test_projections_match_fraction_dot_products(self):
+        rng = random.Random(1903)
+        ends = set()
+        for ds in _degenerate_planar_sets() + _ball_sets_3d():
+            for _ in range(6):
+                u = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ds.dim))
+                if not any(u):
+                    continue
+                frame = projection_frame(u, ds.dim)
+                cols = reference_projections(ds, frame)
+                assert repr(project_dataset(ds, frame).points) == repr(tuple(zip(*cols)))
+                assert projected_lambda(ds, u) == reference_projected_lambda(ds, u)
+                if ds.dim == 2:
+                    # the planar attack anchors: both ends of the median
+                    # interval, or its one point
+                    lo, hi, lam = median_interval_1d(cols[0])
+                    assert breakdown._anchors_1d(ds, frame) == (sorted({(lo,), (hi,)}), lam)
+                    ends.add(lo == hi)
+        assert ends == {True, False}
+
+    def test_upper_bound_matches_three_loops(self):
+        for ds in _degenerate_planar_sets() + _ball_sets_3d():
+            for cfg in _CONFIGS:
+                assert repr(upper_bound(ds, cfg)) == repr(reference_upper_bound(ds, cfg)), (
+                    ds.points, cfg)
+
+    def test_plans_and_exact_breakdown_match_reference(self, monkeypatch):
+        sets = _degenerate_planar_sets() + _ball_sets_3d()
+
+        def outputs():
+            out = []
+            for ds in sets:
+                ub = breakdown.upper_bound(ds)
+                out.append(repr(build_attack(ds, ub.direction)))
+                if ds.dim == 2 and ds.n <= 10:
+                    out.append(repr(exact_breakdown(ds)))
+            return out
+
+        got = outputs()
+        assert any("BreakdownReport" in r for r in got)
+        monkeypatch.setattr(breakdown, "projection_frame", reference_projection_frame)
+        monkeypatch.setattr(breakdown, "_projections", reference_projections)
+        monkeypatch.setattr(breakdown, "upper_bound", reference_upper_bound)
+        monkeypatch.setattr(
+            breakdown, "_tie_and_arc_directions", reference_tie_and_arc_directions)
+        assert got == outputs()
+
+    def test_planar_sweep_stops_at_the_floor(self, monkeypatch):
+        # the reference sweeps every critical direction; the one loop stops
+        # at the first that reaches the floor, with the same direction
+        calls = []
+        real = breakdown.projected_lambda
+
+        def spy(ds, u):
+            calls.append(u)
+            return real(ds, u)
+
+        monkeypatch.setattr(breakdown, "projected_lambda", spy)
+        cfg = DirectionSearchConfig(probes=0, exhaustive=True)
+        # draws from a 3x3 lattice: the axis projections tie, so the floor
+        # is often first reached inside the sweep
+        rng = random.Random(1904)
+        stopped = 0
+        for _ in range(30):
+            n = rng.randint(5, 10)
+            ds = dataset([(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(n)])
+            if affine_dimension(ds) < 2:
+                continue
+            calls.clear()
+            ub = upper_bound(ds, cfg)
+            assert repr(ub) == repr(reference_upper_bound(ds, cfg)), ds.points
+            units = [(1, 0), (0, 1)]
+            candidates = units + breakdown._tie_and_arc_directions(ds)
+            if ub.inf_lambda == breakdown._pinch_floor(ds.n, 1):
+                assert calls == candidates[: candidates.index(calls[-1]) + 1]
+                assert tuple(calls[-1]) == ub.direction
+                stopped += len(calls) > len(units) and len(calls) < len(candidates)
+            else:
+                assert calls == candidates
+        assert stopped >= 3
 
 
 # ---------------------------------------------------------------------------

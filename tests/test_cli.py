@@ -121,6 +121,42 @@ class TestAttackAndBreakdown:
         assert "m = 2" in out or "exact_m,2" in out.replace(" ", "") or "2" in out
 
 
+class TestBreakdownOutputPinned:
+    """Byte-exact stdout of ``bounds`` and ``breakdown`` on a duplicated 3x3
+    lattice, where the sweep and the probes disagree."""
+
+    GRID_TEXT = "0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 2\n1 2\n2 2\n1 1\n"
+    LOWER = "lower        3/8  (= lambda*/(1+lambda*))\n"
+    PINCHED = "pinched      breakdown point is exactly 3/8\n"
+
+    @pytest.fixture
+    def grid_file(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text(self.GRID_TEXT)
+        return str(p)
+
+    @pytest.mark.parametrize("flags, body", [
+        ([], "upper        3/8  (exact: True)\n"
+             "inf lambda_u 3/5  at direction (730, -211)\n" + PINCHED),
+        (["--probes", "0", "--exhaustive"],
+         "upper        3/8  (exact: True)\n"
+         "inf lambda_u 3/5  at direction (-2, -1)\n" + PINCHED),
+        (["--probes", "0", "--no-exhaustive"],
+         "upper        7/17  (exact: False)\n"
+         "inf lambda_u 7/10  at direction (1, 0)\n"),
+        (["--probes", "2", "--seed", "3", "--no-exhaustive"],
+         "upper        3/8  (exact: False)\n"
+         "inf lambda_u 3/5  at direction (-512, 214)\n" + PINCHED),
+    ])
+    def test_bounds(self, capsys, grid_file, flags, body):
+        code, out, _ = run(capsys, ["bounds", "--data", grid_file] + flags)
+        assert (code, out) == (0, self.LOWER + body)
+
+    def test_breakdown(self, capsys, grid_file):
+        code, out, _ = run(capsys, ["breakdown", "--data", grid_file])
+        assert (code, out) == (0, "n=10 d=2\nlower    3/8\nupper    3/8\nexact m  6  (ratio 3/8)\n")
+
+
 class TestSampleAndProbe:
     def test_sample_writes_dataset(self, capsys, tmp_path):
         spec = tmp_path / "ball.spec"

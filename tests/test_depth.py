@@ -243,6 +243,8 @@ class TestWitnessCut:
             x = random_probe(rng, ds)
             c, u = witness_cut(x, ds)
             assert c == depth_count(x, ds)
+            # the planar cutting loop reads the witness as an integer vector
+            assert all(uc.denominator == 1 for uc in u), u
             if c >= ds.n:
                 continue
             tau = F(c + 1, ds.n)

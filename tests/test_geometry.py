@@ -241,6 +241,20 @@ class TestAffineDimension:
         assert affine_dimension(dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])) == 2
         assert affine_dimension(dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])) == 3
 
+    def test_matches_rank_of_differences(self):
+        # flat 3-D sets of each dimension, then the same points moved off
+        # their flat by one extra point, as datasets and as point lists
+        rng = random.Random(229)
+        for _ in range(40):
+            adim = rng.choice((1, 2))
+            ds = random_flat_dataset_3d(rng, adim)
+            extra = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))
+            for pts in (list(ds.points), list(ds.points) + [extra]):
+                want = reference_matrix_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+                assert affine_dimension(dataset(pts)) == want, pts
+                assert affine_dimension(pts) == want
+            assert affine_dimension(ds) == adim
+
 
 class TestMatrixRank:
     def test_matches_fraction_elimination(self):

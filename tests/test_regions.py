@@ -34,7 +34,7 @@ from halfmed import (
 
 from halfmed import polytope, regions
 from halfmed.depth import depth_count
-from halfmed.geometry import hull_halfspaces
+from halfmed.geometry import hull_halfspaces, int_point
 from halfmed.regions import _bracketing_criticals_2d, _contact_location
 from oracles import (
     oracle_depth_count,
@@ -264,12 +264,16 @@ class TestCuttingHelpersMatchFractionFormulas:
     DIRECTIONS += [(F(1, 3), F(-2, 5)), (F(-7, 2), F(7, 2))]
 
     def _check(self, ds):
+        # the helpers take the direction's integer vector, and each critical
+        # direction comes back as an integer vector over its denominator
         for u in self.DIRECTIONS:
+            ui = int_point(u)[1]
             for k in range(1, ds.n + 1):
-                assert _contact_location(ds, u, k) == reference_contact_location(ds, u, k)
+                assert _contact_location(ds, ui, k) == reference_contact_location(ds, u, k)
             for contact in set(ds.points):
-                got = _bracketing_criticals_2d(ds, u, contact)
-                assert got == reference_bracketing_criticals_2d(ds, u, contact)
+                got = _bracketing_criticals_2d(ds, ui, contact)
+                got = [tuple(F(c, den) for c in w) for w, den in got]
+                assert got == reference_bracketing_criticals_2d(ds, ui, contact)
 
     def test_tied_data(self):
         self._check(self.TIES)
@@ -288,6 +292,14 @@ class TestCuttingHelpersMatchFractionFormulas:
         rng = random.Random(99)
         for _ in range(15):
             self._check(random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4))
+
+
+def _cut_loop(ds, tau, k, seeds):
+    """The 2-D cutting loop with its directions read as Fraction vectors,
+    the form the reference loop takes and returns."""
+    poly, dirs = regions._region_by_cuts_2d(
+        ds, tau, k, None, [(ui, q) for q, ui in map(int_point, seeds)])
+    return poly, [tuple(F(c, den) for c in ui) for ui, den in dirs]
 
 
 class TestPolygonLoopMatchesReference:
@@ -313,7 +325,7 @@ class TestPolygonLoopMatchesReference:
         for k in range(1, n + 1):
             tau = F(k, n)
             for seeds in ([], fixed, prev):
-                got = regions._region_by_cuts_2d(ds, tau, k, None, seeds)
+                got = _cut_loop(ds, tau, k, seeds)
                 want = reference_region_by_cuts_2d(ds, tau, k, seeds)
                 assert (repr(got[0]), got[1]) == (repr(want[0]), want[1]), (ds.points, k, seeds)
                 poly = got[0]
@@ -356,7 +368,7 @@ class TestPolygonLoopMatchesReference:
             rng.shuffle(jobs)
             with regions._level_scope(ds, None) as scope:
                 for k, seeds, want in jobs:
-                    got = regions._region_by_cuts_2d(ds, F(k, n), k, None, seeds)
+                    got = _cut_loop(ds, F(k, n), k, seeds)
                     assert (repr(got[0]), got[1]) == want, (ds.points, k, seeds)
                 assert scope["sorted_rows"] and scope["counts"]
             # the loop leaves its vertices' exact counts in the scope
