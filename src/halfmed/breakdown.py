@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .depth import (
+    convex_hull_contains,
     max_depth_1d,
     median_interval_1d,
     optimal_direction_cone,
@@ -471,7 +472,7 @@ def verify_attack(ds: DataSet, plan: ContaminationPlan) -> AttackVerification:
         raise ValueError("plan dimension does not match dataset")
     if plan.m < 1:
         raise ValueError("attack needs at least one contaminating point")
-    if tukey_depth(plan.y0, ds).count >= 1:
+    if convex_hull_contains(ds, plan.y0):
         raise ValueError("plan's contamination point lies inside the convex hull")
 
     contaminated = dataset(list(ds.points) + [plan.y0] * plan.m)
@@ -563,9 +564,9 @@ def exact_breakdown(
     if affine_dimension(ds) < 2:
         raise ValueError("exhaustive breakdown search requires full affine dimension")
 
-    lower = lower_bound(ds)
-    ub = upper_bound(ds)
     lam_star = median_region(ds).lambda_star
+    lower = lam_star / (1 + lam_star)
+    ub = upper_bound(ds)
     m_floor = math.ceil(n * lam_star)  # below this the lower bound forbids escape
     if m_max is None:
         m_max = n

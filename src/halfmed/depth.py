@@ -57,6 +57,7 @@ from .geometry import (
     dot3,
     int_point,
     primitive,
+    span_pair,
 )
 
 
@@ -290,12 +291,11 @@ def _vec_rank3(vecs: list[tuple[int, int, int]]):
     """``(rank, b1, normal)`` of nonzero integer 3-vectors: ``b1 = vecs[0]``,
     and ``normal`` its cross product with the first vector off its line (None
     at rank 1)."""
-    b1 = vecs[0]
-    for v in vecs[1:]:
-        normal = cross3(b1, v)
-        if normal != (0, 0, 0):
-            return (3 if any(dot3(normal, w) for w in vecs) else 2), b1, normal
-    return 1, b1, None
+    b1, v = span_pair(vecs)
+    if v is None:
+        return 1, b1, None
+    normal = cross3(b1, v)
+    return (3 if any(dot3(normal, w) for w in vecs) else 2), b1, normal
 
 
 def _lift(w: Sequence[int], basis: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -519,6 +519,16 @@ def depth_count(x: Sequence[object], ds: DataSet) -> int:
     return _KERNELS[ds.dim](ds, xt)[0]
 
 
+def convex_hull_contains(ds: DataSet, x: Sequence[object]) -> bool:
+    """Exact test for ``x`` in the convex hull of the dataset (d <= 3).
+
+    A point outside the hull has a closed halfspace through it that holds
+    no sample point, and every closed halfspace through a point of the hull
+    holds one, so membership is a positive depth count.
+    """
+    return depth_count(x, ds) >= 1
+
+
 def witness_cut(x: Sequence[object], ds: DataSet) -> tuple[int, Vec]:
     """Minimum count together with an exact witness direction (d = 2 or 3),
     whose coordinates are integers.
@@ -625,7 +635,7 @@ def median_interval_1d(values: Sequence[Fraction]) -> tuple[Fraction, Fraction, 
 
 
 # ---------------------------------------------------------------------------
-# approximate paths (d > 3, and Monte Carlo population estimates)
+# approximate paths (d > 3)
 
 
 def direction_net(d: int, count: int, seed: int = 0, rng=None) -> np.ndarray:
@@ -683,29 +693,3 @@ def approximate_depth(
     return DepthResult(
         Fraction(best_count, n), best_count, n, canonical_direction(best_u), boundary, exact=False
     )
-
-
-def population_depth_estimate(
-    dist_spec,
-    x: Sequence[float],
-    n_samples: int,
-    seed: int = 0,
-    n_directions: int = 64,
-) -> tuple[float, float]:
-    """Monte Carlo depth estimate under a sampling law, with a 95% half-width.
-
-    Returns ``(estimate, 1.96 * sqrt(p(1-p)/N))`` where the estimate is the
-    minimum over a direction net of the closed-halfspace probability.
-    """
-    from .distributions import sample_floats
-
-    samples = sample_floats(dist_spec, n_samples, seed)
-    xf = np.asarray([float(c) for c in x], dtype=float)
-    net = direction_net(samples.shape[1], n_directions, seed=seed + 1)
-    best = 1.0
-    for u in net:
-        p = float(np.mean(samples @ u <= xf @ u))
-        if p < best:
-            best = p
-    half = 1.96 * math.sqrt(max(best * (1.0 - best), 1e-12) / n_samples)
-    return best, half

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import DataSet, as_fraction, dataset, dataset_from_floats, format_rational
-from .depth import direction_net, population_depth_estimate, tukey_depth
+from .depth import direction_net, tukey_depth
 
 __all__ = [
     "DistributionSpec",
@@ -49,6 +49,7 @@ __all__ = [
     "halfspace_symmetry_probe",
     "smoothness_probe",
     "depth_continuity_probe",
+    "population_depth_estimate",
     "parse_spec_text",
     "parse_spec_file",
     "format_spec",
@@ -511,6 +512,30 @@ def smoothness_probe(
 
 # ---------------------------------------------------------------------------
 # depth continuity at the center
+
+
+def population_depth_estimate(
+    dist_spec,
+    x: Sequence[float],
+    n_samples: int,
+    seed: int = 0,
+    n_directions: int = 64,
+) -> tuple[float, float]:
+    """Monte Carlo depth estimate under a sampling law, with a 95% half-width.
+
+    Returns ``(estimate, 1.96 * sqrt(p(1-p)/N))`` where the estimate is the
+    minimum over a direction net of the closed-halfspace probability.
+    """
+    samples = sample_floats(dist_spec, n_samples, seed)
+    xf = np.asarray([float(c) for c in x], dtype=float)
+    net = direction_net(samples.shape[1], n_directions, seed=seed + 1)
+    best = 1.0
+    for u in net:
+        p = float(np.mean(samples @ u <= xf @ u))
+        if p < best:
+            best = p
+    half = 1.96 * math.sqrt(max(best * (1.0 - best), 1e-12) / n_samples)
+    return best, half
 
 
 def depth_continuity_probe(

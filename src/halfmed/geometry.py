@@ -114,6 +114,17 @@ def cross3(u: Sequence, v: Sequence) -> tuple:
     )
 
 
+def span_pair(vecs: Iterable[Sequence]) -> tuple[tuple | None, tuple | None]:
+    """The first nonzero 3-vector of ``vecs`` (ints or Fractions) and the
+    first later one off its line, each None where there is none.  The scan
+    stops at the second, so a lazy sequence is read no further."""
+    it = iter(vecs)
+    b1 = next((v for v in it if any(v)), None)
+    if b1 is None:
+        return None, None
+    return b1, next((v for v in it if any(cross3(b1, v))), None)
+
+
 def int_point(x: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """``(q, a)`` with ``x = a / q``, ``q`` the least common multiple of its denominators.
 
@@ -383,43 +394,42 @@ class AffineFrame:
 
     ``basis`` holds the first nonzero difference from ``base`` and, for a
     plane, the first difference off that line.  The point ``base + B y``
-    has the coordinates ``y``, which ``coords`` recovers from the Gram
-    system ``(B^T B) y = B^T (x - base)``.
+    has the coordinates ``y``, the dot products of ``x - base`` with the
+    dual basis: the vectors of the span with ``dual_i . b_j = [i = j]``.
     """
 
     base: Vec
     basis: tuple[Vec, ...]
 
     @functools.cached_property
-    def _gram(self) -> tuple[Fraction, ...]:
-        """``(b.b,)`` for a line; ``(g11, g12, g22, det)`` for a plane."""
+    def dual(self) -> tuple[Vec, ...]:
+        """``b / |b|^2`` for a line; ``b2 x n`` and ``n x b1`` over ``|n|^2``,
+        with ``n = b1 x b2``, for a plane."""
         if len(self.basis) == 1:
             (b,) = self.basis
-            return (dot(b, b),)
-        b1, b2 = self.basis
-        g11, g12, g22 = dot(b1, b1), dot(b1, b2), dot(b2, b2)
-        return g11, g12, g22, g11 * g22 - g12 * g12
-
-    def _gram_solve(self, rhs: Sequence[Fraction]) -> Vec:
-        if len(self.basis) == 1:
-            return (rhs[0] / self._gram[0],)
-        g11, g12, g22, det = self._gram
-        return ((g22 * rhs[0] - g12 * rhs[1]) / det, (g11 * rhs[1] - g12 * rhs[0]) / det)
+            vecs = [b]
+            nn = dot(b, b)
+        else:
+            b1, b2 = self.basis
+            n = cross3(b1, b2)
+            vecs = [cross3(b2, n), cross3(n, b1)]
+            nn = dot(n, n)
+        return tuple(tuple(c / nn for c in v) for v in vecs)
 
     def coords(self, x: Sequence[Fraction]) -> Vec:
         diff = vsub(x, self.base)
-        return self._gram_solve([dot(b, diff) for b in self.basis])
+        return tuple(dot(v, diff) for v in self.dual)
 
-    def _span(self, y: Sequence[Fraction]) -> Vec:
-        return tuple(sum(yc * b[j] for yc, b in zip(y, self.basis)) for j in range(3))
+    def _span(self, y: Sequence[Fraction], vecs: Sequence[Vec]) -> Vec:
+        return tuple(sum(yc * v[j] for yc, v in zip(y, vecs)) for j in range(3))
 
     def point(self, y: Sequence[Fraction]) -> Vec:
-        return tuple(bc + sc for bc, sc in zip(self.base, self._span(y)))
+        return tuple(bc + sc for bc, sc in zip(self.base, self._span(y, self.basis)))
 
     def halfspace(self, h: Halfspace) -> Halfspace:
         """The halfspace whose normal lies in the basis's span and which
         meets the hull in the reduced halfspace ``h``."""
-        w = self._span(self._gram_solve(h.normal))
+        w = self._span(h.normal, self.dual)
         return halfspace(w, h.offset + dot(w, self.base))
 
     def equations(self) -> list[Halfspace]:
@@ -442,89 +452,9 @@ def reduce_dataset(ds: DataSet) -> tuple[AffineFrame, DataSet]:
     """The frame of a 3-D dataset of affine dimension 1 or 2, and the data
     in its coordinates (same order, so same multiplicities)."""
     base = ds.points[0]
-    basis: list[Vec] = []
-    for p in ds.points[1:]:
-        v = vsub(p, base)
-        if not basis:
-            if not is_zero_vec(v):
-                basis.append(v)
-        elif not is_zero_vec(cross3(basis[0], v)):
-            basis.append(v)
-            break
-    frame = AffineFrame(base, tuple(basis))
+    basis = span_pair(vsub(p, base) for p in ds.points[1:])
+    frame = AffineFrame(base, tuple(b for b in basis if b is not None))
     return frame, DataSet(tuple(frame.coords(p) for p in ds.points))
-
-
-# ---------------------------------------------------------------------------
-# convex hull membership via exact linear feasibility
-
-
-def convex_hull_contains(ds: DataSet, x: Sequence[Fraction]) -> bool:
-    """Exact test for ``x`` in the convex hull of the dataset.
-
-    Solves the convex-combination feasibility problem (sum of weights 1,
-    weights nonnegative, weighted points equal to x) with a phase-one simplex
-    under Bland's rule, so degenerate inputs terminate and no floats appear.
-    """
-    x = tuple(as_fraction(c) for c in x)
-    if len(x) != ds.dim:
-        raise ValueError("point dimension does not match dataset")
-    rows = [[p[j] for p in ds.points] for j in range(ds.dim)]
-    rhs = [x[j] for j in range(ds.dim)]
-    rows.append([Fraction(1)] * ds.n)
-    rhs.append(Fraction(1))
-    return _phase_one_feasible(rows, rhs)
-
-
-def _phase_one_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    m = len(rows)
-    n = len(rows[0])
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        row = rows[i][:]
-        b = rhs[i]
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        row.append(b)
-        tableau.append(row)
-    basis = [n + i for i in range(m)]
-    # objective: minimize sum of artificials
-    obj = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            obj[j] += tableau[i][j]
-    for j in range(n, n + m):
-        obj[j] -= 1
-
-    total = n + m
-    while True:
-        enter = next((j for j in range(total) if obj[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise ArithmeticError("phase-one simplex unbounded: inconsistent tableau")
-        piv = tableau[leave][enter]
-        tableau[leave] = [a / piv for a in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
-        basis[leave] = enter
-    return obj[-1] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .geometry import (
     format_rational,
     int_point,
     matrix_rank,
+    span_pair,
     vsub,
 )
 
@@ -242,21 +243,10 @@ def _polytope_3d(base: tuple[Halfspace, ...], pairs, adim: int) -> Polytope:
 def _order_planar_cycle(verts: list[Vec]) -> list[Vec]:
     """Order coplanar extreme points (ints or Fractions) into a convex cycle."""
     base = verts[0]
-    b1 = None
-    normal = None
-    for v in verts[1:]:
-        e = vsub(v, base)
-        if b1 is None:
-            if any(c != 0 for c in e):
-                b1 = e
-            continue
-        c = cross3(b1, e)
-        if any(x != 0 for x in c):
-            normal = c
-            break
-    if b1 is None or normal is None:
+    b1, e = span_pair(vsub(v, base) for v in verts[1:])
+    if e is None:
         return verts
-    b2 = cross3(normal, b1)
+    b2 = cross3(cross3(b1, e), b1)
     coords = {v: (dot3(b1, vsub(v, base)), dot3(b2, vsub(v, base))) for v in verts}
     hull2 = convex_hull_2d(list(coords.values()))
     back = {coords[v]: v for v in verts}

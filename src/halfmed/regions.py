@@ -314,10 +314,7 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
         return tuple(out)
 
     # read the level off the candidate table, built once per open scope
-    scope = ds._cache.get(_SCOPE)
-    if scope is None:
-        table = _plane_table(ds, None)
-    else:
+    with _level_scope(ds, None) as scope:
         if scope["planes"] is None:
             scope["planes"] = _plane_table(ds, scope["deadline"])
         table = scope["planes"]
@@ -482,15 +479,14 @@ def _region_by_cuts_2d(
             return _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly), directions
         start = len(constraints)
         for hv in poly:
-            cnt = certified.get(hv)
-            u_wit: Vec | None = None
-            if cnt is None:
-                cnt, u_wit = witness_cut(_hpoint(hv), ds)
-                certified[hv] = cnt
+            # a vertex certified before is deep: a shallow one is strictly
+            # excluded by a cut admitted in the round that finds it
+            if hv in certified:
+                continue
+            cnt, u_wit = witness_cut(_hpoint(hv), ds)
+            certified[hv] = cnt
             if cnt >= k:
                 continue
-            if u_wit is None:
-                _, u_wit = witness_cut(_hpoint(hv), ds)
             # tighten the witness direction to the bracketing critical
             # directions of its quantile-contact arc; they cut at least as
             # deep and come from a finite family (termination)

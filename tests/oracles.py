@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from halfmed.geometry import DataSet
+from halfmed.geometry import AffineFrame, DataSet
 
 
 def _diff_vectors(x, ds: DataSet):
@@ -357,12 +357,72 @@ def reference_enumerate_irrotatable_3d(ds: DataSet, tau):
     return tuple(out)
 
 
+def _phase_one_feasible(rows, rhs) -> bool:
+    """Whether ``rows . w = rhs`` has a solution ``w >= 0``: a phase-one
+    simplex on Fractions under Bland's rule, so degenerate inputs terminate."""
+    m = len(rows)
+    n = len(rows[0])
+    tableau = []
+    for i in range(m):
+        row = rows[i][:]
+        b = rhs[i]
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
+        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+        row.append(b)
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    # objective: minimize sum of artificials
+    obj = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            obj[j] += tableau[i][j]
+    for j in range(n, n + m):
+        obj[j] -= 1
+
+    total = n + m
+    while True:
+        enter = next((j for j in range(total) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-one simplex unbounded: inconsistent tableau")
+        piv = tableau[leave][enter]
+        tableau[leave] = [a / piv for a in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+        basis[leave] = enter
+    return obj[-1] == 0
+
+
+def reference_convex_hull_contains(ds: DataSet, x) -> bool:
+    """Whether ``x`` is a convex combination of the data points (any d):
+    weights ``w >= 0`` with ``sum w = 1`` and ``sum w_i X_i = x``."""
+    x = tuple(Fraction(c) for c in x)
+    rows = [[p[j] for p in ds.points] for j in range(ds.dim)]
+    rows.append([Fraction(1)] * ds.n)
+    return _phase_one_feasible(rows, [*x, Fraction(1)])
+
+
 def reference_feasible(rows):
     """Whether some x has ``normal . x >= offset`` for every ``(normal,
     offset)`` row: the phase-one simplex on ``x = x+ - x-`` with one surplus
     variable per row."""
-    from halfmed.geometry import _phase_one_feasible
-
     m = len(rows)
     lp = []
     for i, (normal, _) in enumerate(rows):
@@ -1116,6 +1176,106 @@ def reference_extreme_points_3d(points) -> list:
         ):
             out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the hand-written span scans, and the Gram frame of flat sets in space
+
+
+def reference_frame_basis(points) -> tuple:
+    """The first nonzero difference from ``points[0]``, then the first one
+    off its line, as ``reduce_dataset`` once scanned for them."""
+    base = points[0]
+    basis = []
+    for p in points[1:]:
+        v = tuple(a - b for a, b in zip(p, base))
+        if not basis:
+            if any(c != 0 for c in v):
+                basis.append(v)
+        elif any(c != 0 for c in _cross(basis[0], v)):
+            basis.append(v)
+            break
+    return tuple(basis)
+
+
+def reference_vec_rank3(vecs):
+    """``depth._vec_rank3`` with its own scan: ``(rank, b1, normal)``."""
+    b1 = vecs[0]
+    for v in vecs[1:]:
+        normal = _cross(b1, v)
+        if normal != (0, 0, 0):
+            rank = 3 if any(sum(a * b for a, b in zip(normal, w)) for w in vecs) else 2
+            return rank, b1, normal
+    return 1, b1, None
+
+
+def reference_order_planar_cycle(verts):
+    """``polytope._order_planar_cycle`` with its own scan."""
+    from halfmed.geometry import convex_hull_2d
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    base = verts[0]
+    b1 = None
+    normal = None
+    for v in verts[1:]:
+        e = sub(v, base)
+        if b1 is None:
+            if any(c != 0 for c in e):
+                b1 = e
+            continue
+        c = _cross(b1, e)
+        if any(x != 0 for x in c):
+            normal = c
+            break
+    if b1 is None or normal is None:
+        return verts
+    b2 = _cross(normal, b1)
+    coords = {v: (dot(b1, sub(v, base)), dot(b2, sub(v, base))) for v in verts}
+    hull2 = convex_hull_2d(list(coords.values()))
+    back = {coords[v]: v for v in verts}
+    return [back[c] for c in hull2]
+
+
+class ReferenceGramFrame(AffineFrame):
+    """An ``AffineFrame`` whose coordinates solve the Gram system
+    ``(B^T B) y = B^T (x - base)`` and whose lifted halfspace normal is
+    ``B (B^T B)^-1 a``."""
+
+    def _gram_solve(self, rhs):
+        dot = _reference_dot
+        if len(self.basis) == 1:
+            (b,) = self.basis
+            return (rhs[0] / dot(b, b),)
+        b1, b2 = self.basis
+        g11, g12, g22 = dot(b1, b1), dot(b1, b2), dot(b2, b2)
+        det = g11 * g22 - g12 * g12
+        return ((g22 * rhs[0] - g12 * rhs[1]) / det, (g11 * rhs[1] - g12 * rhs[0]) / det)
+
+    def coords(self, x):
+        diff = tuple(a - b for a, b in zip(x, self.base))
+        return self._gram_solve([_reference_dot(b, diff) for b in self.basis])
+
+    def point(self, y):
+        return tuple(c + sum(yc * b[j] for yc, b in zip(y, self.basis))
+                     for j, c in enumerate(self.base))
+
+    def halfspace(self, h):
+        from halfmed.geometry import halfspace
+
+        y = self._gram_solve(h.normal)
+        w = tuple(sum(yc * b[j] for yc, b in zip(y, self.basis)) for j in range(3))
+        return halfspace(w, h.offset + _reference_dot(w, self.base))
+
+
+def reference_reduce_dataset(ds: DataSet):
+    """``reduce_dataset`` by the scanned basis and the Gram frame."""
+    frame = ReferenceGramFrame(ds.points[0], reference_frame_basis(ds.points))
+    return frame, DataSet(tuple(frame.coords(p) for p in ds.points))
 
 
 def reference_polygon_centroid(cycle) -> tuple:

@@ -468,6 +468,20 @@ class TestExactBreakdown:
     def test_square(self):
         assert exact_breakdown(DS_B).exact_m == 2
 
+    def test_clean_median_is_computed_once(self, monkeypatch):
+        calls = []
+        median = breakdown.median_region
+
+        def counted(ds, *args, **kwargs):
+            calls.append(ds)
+            return median(ds, *args, **kwargs)
+
+        monkeypatch.setattr(breakdown, "median_region", counted)
+        ds = dataset(DS_A.points)
+        rep = exact_breakdown(ds)
+        assert rep.lower == F(1, 3)
+        assert sum(c is ds for c in calls) == 1
+
     def test_one_dimensional_closed_form(self):
         rep = exact_breakdown(dataset([(1,), (2,), (3,)]))
         assert rep.dim == 1

@@ -73,6 +73,38 @@ class TestRegion:
         assert any(out_dir.iterdir())
 
 
+class TestFlatDataFiles:
+    # a coplanar and a collinear set in space, with duplicates
+    FLAT = {
+        "plane": "0 0 1\n3 0 4\n0 2 5\n1 1 4\n1 1 4\n2 1/2 7/2\n1/3 1 10/3\n",
+        "line": "0 1 2\n1 3 1\n2 5 0\n2 5 0\n-1/2 0 5/2\n",
+    }
+
+    @staticmethod
+    def _files(capsys, tmp_path, name, route):
+        data = tmp_path / f"{name}.txt"
+        data.write_text(TestFlatDataFiles.FLAT[name])
+        out = {}
+        for argv in (["region", "--tau", "1/3"], ["median"]):
+            out_dir = tmp_path / route / argv[0]
+            code, stdout, _ = run(capsys, argv + ["--data", str(data), "--out", str(out_dir)])
+            assert code == 0
+            out[argv[0]] = (stdout.replace(str(out_dir), "<out>"),
+                            {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+        return out
+
+    @pytest.mark.parametrize("name", ["plane", "line"])
+    def test_region_and_median_files_match_gram_reference(
+        self, capsys, tmp_path, monkeypatch, name
+    ):
+        from halfmed import regions
+        from oracles import reference_reduce_dataset
+
+        got = self._files(capsys, tmp_path, name, "dual")
+        monkeypatch.setattr(regions, "reduce_dataset", reference_reduce_dataset)
+        assert got == self._files(capsys, tmp_path, name, "gram")
+
+
 class TestMedianAndBounds:
     def test_median(self, capsys, data_file):
         code, out, _ = run(capsys, ["median", "--data", data_file])

@@ -19,7 +19,9 @@ from halfmed.depth import (
     _recount,
     _row_vectors,
     _sort_by_angle,
+    _vec_rank3,
     approximate_depth,
+    convex_hull_contains,
     depth_count,
     directional_quantile,
     max_depth_1d,
@@ -44,7 +46,9 @@ from oracles import (
     reference_low_dim_depth,
     reference_max_window,
     reference_planar_groups,
+    reference_convex_hull_contains,
     reference_recount,
+    reference_vec_rank3,
 )
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
@@ -434,6 +438,14 @@ class TestSpatialKernelMatchesEdgeReference:
                     assert side == (sum(t < 0 for t in dots), sum(t > 0 for t in dots))
 
 
+class TestRankScanMatchesReference:
+    def test_rank_basis_and_normal(self):
+        for ds, x in _spatial_cases():
+            _, vecs = _query_vectors(ds, x)
+            if vecs:
+                assert _vec_rank3(vecs) == reference_vec_rank3(vecs), (ds.points, x)
+
+
 class TestWitnessTiltsMatchFractionReference:
     """The tilts found by integer cross-multiplication against one Fraction
     per candidate ratio."""
@@ -594,6 +606,39 @@ class TestEntryPointsAgree:
                     count, u = witness_cut(x, ds)
                     assert count == res.count
                     assert canonical_direction(u) == res.witness
+
+
+class TestHullMembershipMatchesSimplex:
+    """``convex_hull_contains`` is a positive depth count; the phase-one
+    simplex over convex weights is the reference."""
+
+    @staticmethod
+    def _queries(rng, ds):
+        pts = ds.points
+        qs = list(pts) + [random_probe(rng, ds) for _ in range(4)]
+        for _ in range(4):
+            a, b = rng.choice(pts), rng.choice(pts)
+            t = F(rng.randint(0, 4), 4)
+            qs.append(tuple(t * ac + (1 - t) * bc for ac, bc in zip(a, b)))  # on a segment
+        far = max(abs(c) for p in pts for c in p) + 1
+        qs += [tuple(far if j == i else pts[0][j] for j in range(ds.dim)) for i in range(ds.dim)]
+        qs.append(tuple(c + F(1, 7) for c in pts[0]))  # next to a data point
+        return qs
+
+    def test_matches_reference_on_degenerate_sets(self):
+        rng = random.Random(2011)
+        seen = Counter()
+        for ds in _degenerate_sets(rng):
+            for x in self._queries(rng, ds):
+                got = convex_hull_contains(ds, x)
+                assert got == reference_convex_hull_contains(ds, x), (ds.points, x)
+                seen[got] += 1
+        assert seen[True] > 300 and seen[False] > 300
+
+    def test_four_dimensions_raise(self):
+        ds = dataset([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
+        with pytest.raises(ValueError):
+            convex_hull_contains(ds, (0, 0, 0, 0))
 
 
 def _low_dim_cases():

@@ -17,7 +17,6 @@ from halfmed.geometry import (
     as_fraction,
     canonical_direction,
     convex_hull_2d,
-    convex_hull_contains,
     cross3,
     dataset,
     dataset_from_floats,
@@ -31,18 +30,22 @@ from halfmed.geometry import (
     reduce_dataset,
     side_of,
     snap,
+    span_pair,
     vsub,
     write_dataset,
 )
+from halfmed.depth import convex_hull_contains
 from halfmed.polytope import intersect_halfspaces
 
 from oracles import (
     random_dataset,
     random_flat_dataset_3d,
     reference_extreme_points_3d,
+    reference_frame_basis,
     reference_int_halfspace,
     reference_int_point,
     reference_matrix_rank,
+    reference_reduce_dataset,
 )
 
 
@@ -394,6 +397,27 @@ class TestAffineFrame:
             assert len(frame.basis) == reduced.dim == adim
             assert [frame.point(y) for y in reduced.points] == list(ds.points)
 
+    def test_frame_matches_scanned_basis_and_gram_reference(self):
+        # the dual basis within a span is unique, so coordinates and lifted
+        # halfspaces keep the Fraction values of the Gram solve
+        rng = random.Random(37)
+        for adim in (1, 2) * 25:
+            ds = random_flat_dataset_3d(rng, adim)
+            frame, reduced = reduce_dataset(ds)
+            ref, ref_reduced = reference_reduce_dataset(ds)
+            assert frame.basis == ref.basis == reference_frame_basis(ds.points)
+            assert reduced.points == ref_reduced.points
+            xs = [tuple(F(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(3))
+                  for _ in range(5)]
+            assert [frame.coords(x) for x in xs] == [ref.coords(x) for x in xs]
+            ys = [tuple(F(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(adim))
+                  for _ in range(5)]
+            assert [frame.point(y) for y in ys] == [ref.point(y) for y in ys]
+            for _ in range(5):
+                h = halfspace([rng.randint(-3, 3) or 1 for _ in range(adim)],
+                              F(rng.randint(-9, 9), rng.randint(1, 3)))
+                assert frame.halfspace(h) == ref.halfspace(h)
+
     def test_lifted_halfspaces_and_equations(self):
         rng = random.Random(31)
         for adim in (1, 2) * 25:
@@ -415,6 +439,29 @@ class TestAffineFrame:
                     tuple(F(rng.randint(-20, 20), 4) for _ in range(adim)) for _ in range(5)
                 ):
                     assert lifted.contains(frame.point(y)) == h.contains(y)
+
+
+class TestSpanPair:
+    def test_first_nonzero_and_first_off_its_line(self):
+        vecs = [(0, 0, 0), (1, 2, 3), (0, 0, 0), (-2, -4, -6), (1, 0, 0), (0, 1, 0)]
+        assert span_pair(vecs) == ((1, 2, 3), (1, 0, 0))
+        assert span_pair(vecs[:4]) == ((1, 2, 3), None)
+        assert span_pair([(0, 0, 0)] * 3) == (None, None)
+        assert span_pair([]) == (None, None)
+        fr = [(F(0), F(0), F(0)), (F(1, 2), F(0), F(1, 3)), (F(1), F(0), F(2, 3)),
+              (F(0), F(1, 5), F(0))]
+        assert span_pair(fr) == (fr[1], fr[3])
+
+    def test_reads_no_further_than_the_second(self):
+        read = []
+
+        def lazy():
+            for v in [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1), (5, 5, 5)]:
+                read.append(v)
+                yield v
+
+        assert span_pair(lazy()) == ((1, 1, 0), (0, 0, 1))
+        assert read[-1] == (0, 0, 1)
 
 
 class TestDatasetIO:

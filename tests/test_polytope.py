@@ -16,6 +16,7 @@ from halfmed.polytope import (
     _hvertex,
     _intersect_2d,
     _intersect_3d,
+    _order_planar_cycle,
     _polyhedron_centroid,
     barycenter,
     clip_polygon,
@@ -27,6 +28,9 @@ from halfmed.polytope import (
 
 from oracles import (
     random_dataset,
+    random_flat_dataset_3d,
+    reference_extreme_points_3d,
+    reference_order_planar_cycle,
     reference_clip_polygon,
     reference_affine_dim,
     reference_dedup_halfspaces,
@@ -595,6 +599,17 @@ class TestUnboundedTestMatchesFractionReference:
             assert intersect_halfspaces(hs).unbounded == want, hs
             outcomes.add(want)
         assert outcomes == {True, False}
+
+
+class TestPlanarCycleMatchesScanReference:
+    def test_coplanar_and_collinear_points(self):
+        rng = random.Random(2027)
+        for adim in (2, 2, 1) * 20:
+            verts = reference_extreme_points_3d(random_flat_dataset_3d(rng, adim).points)
+            rng.shuffle(verts)
+            scaled = [tuple(int(c * 6) for c in v) for v in verts]  # integer points
+            for vs in (verts, scaled):
+                assert _order_planar_cycle(vs) == reference_order_planar_cycle(vs), vs
 
 
 class TestBarycenter:

@@ -51,6 +51,7 @@ from oracles import (
     reference_enumerate_irrotatable_3d,
     reference_intersect_3d,
     reference_polyhedron_centroid,
+    reference_reduce_dataset,
     reference_region_3d_lazy_certificates,
     reference_region_by_cuts_2d,
 )
@@ -802,6 +803,49 @@ class TestFlatDataReducedOnce:
             want = depth_region(self.BALL, F(k, 60)).polytope
             assert got.empty == want.empty
             assert sorted(v[:2] for v in got.vertices) == sorted(want.vertices)
+
+
+class TestFlatFrameMatchesGramReference:
+    """Regions of 3-D data on a line or plane, solved in the dual-basis frame
+    and in the Gram frame with the scanned basis, have equal ``repr``s."""
+
+    @staticmethod
+    def _outputs(points):
+        ds = dataset(points)
+        out = [repr(median_region(ds))]
+        for k in {1, (ds.n + 1) // 3, ds.n // 2}:
+            out.append(repr(depth_region(ds, F(k, ds.n))))
+        return out
+
+    def test_regions_and_medians(self, monkeypatch):
+        rng = random.Random(2029)
+        sets = [random_flat_dataset_3d(rng, adim, max_n=12) for adim in (1, 2) * 12]
+        sets.append(dataset([(x, y, x + 2 * y) for x, y in TestFlatDataReducedOnce.BALL.points]))
+        got = [self._outputs(ds.points) for ds in sets]
+        monkeypatch.setattr(regions, "reduce_dataset", reference_reduce_dataset)
+        assert got == [self._outputs(ds.points) for ds in sets]
+
+
+class TestPlanarLoopWitnessesOncePerVertex:
+    def test_witness_cut_runs_at_most_once_per_vertex(self, monkeypatch):
+        # a shallow vertex is excluded by a cut admitted in the round that
+        # finds it, so no vertex is asked for its witness twice
+        calls = []
+        witness = regions.witness_cut
+
+        def spy(x, ds):
+            calls.append(x)
+            return witness(x, ds)
+
+        monkeypatch.setattr(regions, "witness_cut", spy)
+        sets = [DS_A, TestCuttingHelpersMatchFractionFormulas.TIES]
+        sets += [sample(degenerate_sampler(uniform_ball(2), 0.2, 0.3), n, seed=s, bits=21)
+                 for n, s in ((40, 0), (80, 1), (120, 2))]
+        for ds in sets:
+            for k in {1, ds.n // 4, ds.n // 3, ds.n // 2}:
+                calls.clear()
+                regions._region_by_cuts_2d(ds, F(k, ds.n), k, None)
+                assert calls and len(calls) == len(set(calls)), (ds.n, k)
 
 
 class TestHalfspacesAreReduced:

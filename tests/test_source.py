@@ -59,3 +59,35 @@ def test_halfspaces_are_built_only_in_geometry():
         if name == "Halfspace":
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+_LAYERS = ["geometry", "polytope", "depth", "regions", "breakdown", "distributions",
+           "experiments", "cli"]
+
+
+def _imported_modules(node):
+    """Package modules named by an import statement, relative or absolute."""
+    if isinstance(node, ast.Import):
+        names = [a.name.removeprefix("halfmed.") for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and (
+        node.level or (node.module or "").split(".")[0] == "halfmed"
+    ):
+        module = (node.module or "").removeprefix("halfmed").lstrip(".")
+        names = [module] if module else [a.name for a in node.names]
+    else:
+        return []
+    return [m for m in names if m in _LAYERS]
+
+
+def test_modules_import_only_lower_layers():
+    # geometry < polytope < depth < regions < breakdown < distributions <
+    # experiments < cli, for imports at any nesting level; ``__init__`` re-exports all
+    found = []
+    for path, node in _nodes():
+        if path.stem == "__init__":
+            continue
+        rank = _LAYERS.index(path.stem)
+        for mod in _imported_modules(node):
+            if _LAYERS.index(mod) >= rank:
+                found.append(f"{path.name}:{node.lineno} imports {mod}")
+    assert found == []
