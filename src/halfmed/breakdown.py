@@ -33,10 +33,10 @@ from typing import Iterator, Sequence
 
 from .depth import (
     convex_hull_contains,
+    depth_count,
     max_depth_1d,
     median_interval_1d,
     optimal_direction_cone,
-    tukey_depth,
 )
 from .geometry import (
     DataSet,
@@ -230,19 +230,23 @@ def _cross_directions(ds: DataSet) -> Iterator[tuple[int, ...]]:
 
 
 def upper_bound(
-    ds: DataSet, search: DirectionSearchConfig | None = None
+    ds: DataSet,
+    search: DirectionSearchConfig | None = None,
+    lambda_star: Fraction | None = None,
 ) -> UpperBoundResult:
     """Minimize the projected depth level over directions.
 
     One loop runs the probe directions, then the net, and stops at the
-    first direction that reaches the pinch floor; that loop is the place
-    for any further stop.  For d=2 the ``exhaustive`` sweep makes the
-    minimum exact: the projected order changes only at directions parallel
-    to point differences, so ``lambda_u*`` is piecewise constant on the
-    circle and its minimum is attained on the finite set of tie directions
-    plus one representative per arc between them.  For d=3 the net is the
-    cross products of point-difference pairs, and the result is exact only
-    when pinched; otherwise it is flagged ``exact=False``.
+    first direction that reaches the pinch floor or, when given, the
+    sample's maximal depth ``lambda_star``.  No ``lambda_u`` lies below
+    either (projection cannot lower depth), so either stop is exact.
+    For d=2 the ``exhaustive`` sweep makes the minimum exact: the projected
+    order changes only at directions parallel to point differences, so
+    ``lambda_u*`` is piecewise constant on the circle and its minimum is
+    attained on the finite set of tie directions plus one representative
+    per arc between them.  For d=3 the net is the cross products of
+    point-difference pairs, and the result is exact only when one of the
+    two stops is reached; otherwise it is flagged ``exact=False``.
     """
     cfg = search or DirectionSearchConfig()
     d = ds.dim
@@ -260,12 +264,12 @@ def upper_bound(
         lam = projected_lambda(ds, u)
         if best is None or lam < best:
             best, best_u = lam, u
-        if lam == floor:
+        if lam in (floor, lambda_star):
             break
     if best is None or best_u is None:
         raise RuntimeError("no candidate direction for the upper bound")
     return UpperBoundResult(
-        best / (1 + best), tuple(map(Fraction, best_u)), best, swept or best == floor
+        best / (1 + best), tuple(map(Fraction, best_u)), best, swept or best in (floor, lambda_star)
     )
 
 
@@ -466,7 +470,10 @@ def verify_attack(ds: DataSet, plan: ContaminationPlan) -> AttackVerification:
     distance is multiplied by 10.  One contaminated median serves both the
     escape test and the cap: the sup over the hull is read from its level
     k* when its region meets the hull, and only levels below k* are
-    bisected otherwise.
+    bisected otherwise.  Consecutive placements of a tenfold distance
+    schedule share one contaminated median: the clean dataset keeps the
+    last far median, and a plan whose ``y0`` and ``m`` are that far
+    placement takes it as its own.
     """
     if len(plan.y0) != ds.dim or len(plan.u) != ds.dim:
         raise ValueError("plan dimension does not match dataset")
@@ -476,9 +483,11 @@ def verify_attack(ds: DataSet, plan: ContaminationPlan) -> AttackVerification:
         raise ValueError("plan's contamination point lies inside the convex hull")
 
     contaminated = dataset(list(ds.points) + [plan.y0] * plan.m)
-    top = median_region(contaminated)
+    key, top = ds._cache.get("far_median", (None, None))
+    if key != (plan.y0, plan.m):
+        top = median_region(contaminated)
     sup_inside = _sup_depth_on_hull(ds, contaminated, top)
-    depth_y0 = tukey_depth(plan.y0, contaminated).value
+    depth_y0 = Fraction(depth_count(plan.y0, contaminated), contaminated.n)
 
     center, r2 = _enclosing_ball(ds)
     d1 = _sq_norm(vsub(top.median, center))
@@ -488,8 +497,9 @@ def verify_attack(ds: DataSet, plan: ContaminationPlan) -> AttackVerification:
     if outside_ball:
         base = tuple(y - plan.gamma * u for y, u in zip(plan.y0, plan.u))
         y0_far = tuple(b + 10 * plan.gamma * u for b, u in zip(base, plan.u))
-        far = dataset(list(ds.points) + [y0_far] * plan.m)
-        d2 = _sq_norm(vsub(median_region(far).median, center))
+        far = median_region(dataset(list(ds.points) + [y0_far] * plan.m))
+        ds._cache["far_median"] = ((y0_far, plan.m), far)
+        d2 = _sq_norm(vsub(far.median, center))
         escaped = d2 >= 25 * d1  # distance at least 5x when placement is 10x
     return AttackVerification(sup_inside, depth_y0, escaped, top.median)
 
@@ -566,7 +576,7 @@ def exact_breakdown(
 
     lam_star = median_region(ds).lambda_star
     lower = lam_star / (1 + lam_star)
-    ub = upper_bound(ds)
+    ub = upper_bound(ds, lambda_star=lam_star)
     m_floor = math.ceil(n * lam_star)  # below this the lower bound forbids escape
     if m_max is None:
         m_max = n

@@ -173,7 +173,7 @@ def _cmd_bounds(args) -> int:
         exhaustive=args.exhaustive,
     )
     lo = lower_bound(ds)
-    ub = upper_bound(ds, cfg)
+    ub = upper_bound(ds, cfg, lo / (1 - lo))
     print(f"lower        {format_rational(lo)}  (= lambda*/(1+lambda*))")
     print(f"upper        {format_rational(ub.bound)}  (exact: {ub.exact})")
     print(f"inf lambda_u {format_rational(ub.inf_lambda)}  at direction {_fmt(ub.direction)}")

@@ -39,8 +39,8 @@ from .geometry import (
     format_rational,
     side_of,
 )
-from .depth import tukey_depth
-from .regions import depth_region, enumerate_irrotatable, median_region
+from .depth import depth_count
+from .regions import _level_scope, depth_region, enumerate_irrotatable, median_region
 from .breakdown import (
     DirectionSearchConfig,
     build_attack,
@@ -298,7 +298,7 @@ def run_convergence(cfg: ExperimentConfig, theta0=None) -> ConvergenceResult:
             if time.perf_counter() - t0 > cfg.budget_s:
                 status = "budget"
             else:
-                ub = upper_bound(ds, search)
+                ub = upper_bound(ds, search, lam)
                 inf_lam, upper = ub.inf_lambda, ub.bound
                 if time.perf_counter() - t0 > cfg.budget_s:
                     status = "budget"
@@ -443,27 +443,29 @@ def run_region_oracle(cfg: ExperimentConfig) -> OracleSummary:
         general = _is_general_position(ds)
         if general:
             gp_instances += 1
-        for k in range(1, k_max + 1):
-            tau = Fraction(k, ds.n)
-            taus += 1
-            region = depth_region(ds, tau).polytope
-            battery: list[tuple[Fraction, ...]] = list(region.vertices)
-            battery.extend(ds.points)
-            battery.extend(_random_rational_probes(rng, ds, 100))
-            battery.extend(_facet_pushes(region))
-            for x in battery:
-                probes += 1
-                inside = region.contains(x)
-                deep = tukey_depth(x, ds).count >= k
-                if inside != deep:
-                    mismatches.append(
-                        f"instance {inst} (n={ds.n}, d={d}) tau={tau}: "
-                        f"point {tuple(map(str, x))} region={inside} depth>=k={deep}"
-                    )
-            if general:
-                for cert in enumerate_irrotatable(ds, tau):
-                    if len(cert.boundary_indices) != d or cert.cut_count != k - 1:
-                        gp_violations += 1
+        # one scope per instance: the candidate table serves every level
+        with _level_scope(ds, None):
+            for k in range(1, k_max + 1):
+                tau = Fraction(k, ds.n)
+                taus += 1
+                region = depth_region(ds, tau).polytope
+                battery: list[tuple[Fraction, ...]] = list(region.vertices)
+                battery.extend(ds.points)
+                battery.extend(_random_rational_probes(rng, ds, 100))
+                battery.extend(_facet_pushes(region))
+                for x in battery:
+                    probes += 1
+                    inside = region.contains(x)
+                    deep = depth_count(x, ds) >= k
+                    if inside != deep:
+                        mismatches.append(
+                            f"instance {inst} (n={ds.n}, d={d}) tau={tau}: "
+                            f"point {tuple(map(str, x))} region={inside} depth>=k={deep}"
+                        )
+                if general:
+                    for cert in enumerate_irrotatable(ds, tau):
+                        if len(cert.boundary_indices) != d or cert.cut_count != k - 1:
+                            gp_violations += 1
     return OracleSummary(
         instances=cfg.trials,
         taus_checked=taus,
@@ -528,7 +530,7 @@ def run_attack_demo(
             cfg.spec, max(cfg.n_schedule), _sub_seed(cfg.seed, 999), cfg.precision_bits
         )
     med = median_region(ds)
-    ub = upper_bound(ds, cfg.search)
+    ub = upper_bound(ds, cfg.search, med.lambda_star)
     rows: list[AttackDemoRow] = []
     plan0 = None
     for scale in scales:

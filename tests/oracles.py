@@ -1359,9 +1359,10 @@ def reference_tie_and_arc_directions(ds: DataSet):
     return out
 
 
-def reference_upper_bound(ds: DataSet, cfg=None):
+def reference_upper_bound(ds: DataSet, cfg=None, lambda_star=None):
     """The probe loop, then the full planar sweep, or the 3-D net with its
-    floor stop, all on Fraction directions."""
+    floor stop, all on Fraction directions.  ``lambda_star`` does not stop
+    the search; a minimum equal to it only marks the result exact."""
     from halfmed.breakdown import DirectionSearchConfig, UpperBoundResult
 
     cfg = cfg or DirectionSearchConfig()
@@ -1404,4 +1405,4 @@ def reference_upper_bound(ds: DataSet, cfg=None):
                 best, best_u = lam, u
             if lam == floor:
                 return UpperBoundResult(lam / (1 + lam), u, lam, True)
-    return UpperBoundResult(best / (1 + best), best_u, best, best == floor)
+    return UpperBoundResult(best / (1 + best), best_u, best, best in (floor, lambda_star))

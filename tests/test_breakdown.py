@@ -24,6 +24,7 @@ from halfmed import (
     build_attack,
     dataset,
     degenerate_sampler,
+    discrete_cloud,
     exact_breakdown,
     lower_bound,
     median_interval_1d,
@@ -273,6 +274,48 @@ class TestBounds:
                 assert projected_lambda(ds, u) >= exact.inf_lambda
             done += 1
 
+    def test_lambda_star_stops_the_search_exactly(self, monkeypatch):
+        # no lambda_u is below lambda*, so the first direction reaching it
+        # is the one the whole search keeps: only `exact` and the number of
+        # directions tried can change
+        tried = []
+        real = breakdown.projected_lambda
+
+        def spy(ds, u):
+            tried.append(u)
+            return real(ds, u)
+
+        monkeypatch.setattr(breakdown, "projected_lambda", spy)
+        reached = 0
+        for ds in _degenerate_planar_sets() + _ball_sets_3d():
+            lam = median_region(ds).lambda_star
+            for cfg in _CONFIGS:
+                tried.clear()
+                full = upper_bound(ds, cfg)
+                n_full = len(tried)
+                tried.clear()
+                ub = upper_bound(ds, cfg, lam)
+                assert ub == dataclasses.replace(full, exact=ub.exact), (ds.points, cfg)
+                assert ub.exact == (full.exact or full.inf_lambda == lam)
+                assert repr(ub) == repr(reference_upper_bound(ds, cfg, lam))
+                assert len(tried) <= n_full
+                reached += full.inf_lambda == lam
+        assert reached > 0
+
+    def test_lambda_star_certifies_a_probe_search(self):
+        # nine locations with multiplicity: the probes reach lambda* but not
+        # the pinch floor, so only lambda* can certify the result
+        spec = discrete_cloud(list(itertools.product((-1, 0, 1), repeat=2)))
+        ds = sample(spec, n=1600, seed=0, bits=21)
+        lam = median_region(ds).lambda_star
+        cfg = DirectionSearchConfig(exhaustive=False)
+        full = upper_bound(ds, cfg)
+        assert (full.inf_lambda, full.exact) == (lam, False) == (F(173, 320), False)
+        ub = upper_bound(ds, cfg, lam)
+        assert ub.exact
+        assert (ub.bound, ub.direction, ub.inf_lambda) == (
+            full.bound, full.direction, full.inf_lambda)
+
     def test_bounds_sandwich_on_random_instances(self):
         rng = random.Random(23)
         done = 0
@@ -452,6 +495,85 @@ class TestHullCap:
         for distance in (10**3, 10**4, 10**5):
             verify_attack(ds, build_attack(ds, (3, 1), distance=distance))
         assert builds == [ds.n]
+
+
+class TestScheduleMemo:
+    """Consecutive tenfold placements share one contaminated median: the
+    far median of one call is the median of the next when its ``y0`` and
+    ``m`` are that far placement."""
+
+    SCALES = (10**3, 10**4, 10**5)
+    SIMPLEX = ((0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (1, 1, 1))
+
+    @pytest.fixture
+    def medians(self, monkeypatch):
+        """The point tuples of every ``median_region`` call in breakdown."""
+        seen = []
+        real = breakdown.median_region
+
+        def spy(ds, *args, **kwargs):
+            seen.append(ds.points)
+            return real(ds, *args, **kwargs)
+
+        monkeypatch.setattr(breakdown, "median_region", spy)
+        return seen
+
+    @staticmethod
+    def _run(ds, plans, medians):
+        """Verdict reprs on ``ds``, and per call whether the plan's own
+        contaminated median was computed (a memo miss); each verdict must
+        equal that of a fresh copy of ``ds``, which holds no memo."""
+        verdicts, missed = [], []
+        for plan in plans:
+            medians.clear()
+            verdicts.append(repr(verify_attack(ds, plan)))
+            missed.append(medians[:1] == [ds.points + (plan.y0,) * plan.m])
+            assert verdicts[-1] == repr(verify_attack(dataset(ds.points), plan))
+        return verdicts, missed
+
+    def test_shared_dataset_matches_fresh_copies(self, medians):
+        hits = 0
+        sets = [(ds, upper_bound(ds).direction) for ds in _degenerate_planar_sets()]
+        for ds, u in sets + [(dataset(self.SIMPLEX), (0, 0, 1))]:
+            plans = [build_attack(ds, u, s) for s in self.SCALES]
+            verdicts, missed = self._run(ds, plans, medians)
+            assert missed[0]
+            hits += missed.count(False)
+        assert hits >= 10
+
+    def test_escaping_schedule_computes_four_medians(self, medians):
+        # fresh datasets: the memo lives in the clean dataset
+        for ds, u in ((dataset(DS_A.points), (1, 0)), (dataset(self.SIMPLEX), (0, 0, 1))):
+            calls = 0
+            for scale in self.SCALES:
+                plan = build_attack(ds, u, scale)
+                medians.clear()
+                assert verify_attack(ds, plan).escaped
+                calls += len(medians)
+            assert calls == 4
+
+    def test_descending_scales_miss(self, medians):
+        ds = dataset(DS_A.points)
+        plans = [build_attack(ds, (1, 0), s) for s in reversed(self.SCALES)]
+        assert self._run(ds, plans, medians)[1] == [True, True, True]
+
+    def test_changed_m_misses(self, medians):
+        # the low plan of the benchmark: one copy fewer at the next scale
+        ds = dataset([(0, 0), (4, 0), (0, 4), (4, 4), (1, 2), (2, 1), (3, 3)])
+        high = build_attack(ds, (3, 1), 10**3)
+        low = build_attack(ds, (3, 1), 10**4, m=high.m - 1)
+        same = build_attack(ds, (3, 1), 10**4)
+        verdicts, missed = self._run(ds, [high, low, high, same], medians)
+        assert missed == [True, True, True, False]
+        assert "escaped=True" in verdicts[0] and "escaped=False" in verdicts[1]
+
+    def test_doubled_gamma_misses(self, medians):
+        # coordinates beyond the first distance: y0 is pushed out by
+        # doubling gamma, so the next scale's y0 is not the far point
+        ds = dataset([(c * 1000 for c in p) for p in DS_A.points])
+        plans = [build_attack(ds, (1, 0), s) for s in self.SCALES]
+        assert plans[0].gamma == 4 * 10**3 and plans[1].gamma == 10**4
+        assert self._run(ds, plans, medians)[1] == [True, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,9 @@ class TestAttackAndBreakdown:
 
 
 class TestBreakdownOutputPinned:
-    """Byte-exact stdout of ``bounds`` and ``breakdown`` on a duplicated 3x3
-    lattice, where the sweep and the probes disagree."""
+    """Byte-exact stdout of ``bounds``, ``breakdown`` and ``attack`` on a
+    duplicated 3x3 lattice, where the sweep and the probes disagree; a probe
+    search that reaches lambda* is exact."""
 
     GRID_TEXT = "0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 2\n1 2\n2 2\n1 1\n"
     LOWER = "lower        3/8  (= lambda*/(1+lambda*))\n"
@@ -177,7 +178,7 @@ class TestBreakdownOutputPinned:
          "upper        7/17  (exact: False)\n"
          "inf lambda_u 7/10  at direction (1, 0)\n"),
         (["--probes", "2", "--seed", "3", "--no-exhaustive"],
-         "upper        3/8  (exact: False)\n"
+         "upper        3/8  (exact: True)\n"
          "inf lambda_u 3/5  at direction (-512, 214)\n" + PINCHED),
     ])
     def test_bounds(self, capsys, grid_file, flags, body):
@@ -187,6 +188,32 @@ class TestBreakdownOutputPinned:
     def test_breakdown(self, capsys, grid_file):
         code, out, _ = run(capsys, ["breakdown", "--data", grid_file])
         assert (code, out) == (0, "n=10 d=2\nlower    3/8\nupper    3/8\nexact m  6  (ratio 3/8)\n")
+
+    @pytest.mark.parametrize("flags, body", [
+        ([], "direction    (730, -211)  inf lambda_u 3/5\n"
+             "scale     1000: m=6 y0=(577619551/577421, -12133437210/42151733) "
+             "sup_inside=3/8 escaped=True\n"
+             "scale    10000: m=6 y0=(5774408551/577421, -121785685110/42151733) "
+             "sup_inside=3/8 escaped=True\n"
+             "scale   100000: m=6 y0=(57742298551/577421, -1218308164110/42151733) "
+             "sup_inside=3/8 escaped=True\n"
+             "escaped at every scale\n"),
+        (["--direction", "3 1", "--m", "5"],
+         "scale     1000: m=5 y0=(4999/5, 5009/15) sup_inside=2/5 depth(y0)=1/3 escaped=False\n"
+         "scale    10000: m=5 y0=(49999/5, 50009/15) sup_inside=2/5 depth(y0)=1/3 escaped=False\n"
+         "scale   100000: m=5 y0=(499999/5, 500009/15) sup_inside=2/5 depth(y0)=1/3 "
+         "escaped=False\n"
+         "NO ESCAPE at some scale\n"),
+        (["--direction", "3 1"],
+         "scale     1000: m=6 y0=(4999/5, 5009/15) sup_inside=3/8 depth(y0)=3/8 escaped=True\n"
+         "scale    10000: m=6 y0=(49999/5, 50009/15) sup_inside=3/8 depth(y0)=3/8 escaped=True\n"
+         "scale   100000: m=6 y0=(499999/5, 500009/15) sup_inside=3/8 depth(y0)=3/8 "
+         "escaped=True\n"
+         "escaped at every scale\n"),
+    ], ids=["demo", "direction-m5", "direction"])
+    def test_attack(self, capsys, grid_file, flags, body):
+        code, out, _ = run(capsys, ["attack", "--data", grid_file] + flags)
+        assert (code, out) == (0, body)
 
 
 class TestSampleAndProbe:

@@ -1,9 +1,12 @@
 """Experiment drivers: convergence runs, oracle sweeps, attack demos, CSV I/O."""
 
+import contextlib
 from fractions import Fraction as F
 
 import pytest
 
+import halfmed.experiments as experiments
+import halfmed.regions as regions
 from halfmed import (
     ConvergenceRow,
     ExperimentConfig,
@@ -177,6 +180,29 @@ class TestRegionOracle:
         assert summary.taus_checked > 0
         assert summary.probes_checked > 0
         assert summary.clean
+
+    def test_candidate_table_is_built_once_per_instance(self, monkeypatch):
+        builds = []
+        table = regions._plane_table
+
+        def counted(ds, deadline):
+            builds.append(ds)
+            return table(ds, deadline)
+
+        monkeypatch.setattr(regions, "_plane_table", counted)
+        cfg = ExperimentConfig(
+            name="oracle", spec=uniform_ball(2), n_schedule=(30,), trials=2, seed=0
+        )
+        summary = run_region_oracle(cfg)
+        assert summary.gp_instances == 2
+        assert len(builds) == len({id(ds) for ds in builds}) == 2
+        # a scope per level builds the table at every level, to the same summary
+        builds.clear()
+        monkeypatch.setattr(
+            experiments, "_level_scope", lambda ds, deadline: contextlib.nullcontext()
+        )
+        assert repr(run_region_oracle(cfg)) == repr(summary)
+        assert len(builds) == summary.taus_checked > 2
 
 
 class TestAttackDemo:
