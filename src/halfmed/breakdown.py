@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .depth import (
+    _sort_by_angle,
     convex_hull_contains,
     depth_count,
     max_depth_1d,
@@ -51,11 +52,8 @@ from .geometry import (
     primitive,
     vsub,
 )
-from .polytope import Polytope, barycenter, intersect_halfspaces
+from .polytope import Polytope, intersect_halfspaces
 from .regions import MedianResult, depth_region, median_region
-
-_DESCENT_CAP = 10_000
-_DESCENT_GAP = Fraction(1, 2**40)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,13 @@ def _pair_directions(ds: DataSet) -> list[tuple[int, ...]]:
 def _tie_and_arc_directions(ds: DataSet) -> list[tuple[int, ...]]:
     """The directions parallel to point differences, where projections tie,
     by angle; then the sum of each neighbouring pair: one representative
-    per arc between them."""
+    per arc between them.
+
+    The angle runs over (-pi, pi]: the exact angular order from the
+    positive x-axis, rotated to start at the first direction below it.
+    Each difference comes with both signs, so on data of full affine
+    dimension such a direction exists.
+    """
     ties: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for v in _pair_directions(ds):
@@ -213,7 +217,9 @@ def _tie_and_arc_directions(ds: DataSet) -> list[tuple[int, ...]]:
             if w not in seen:
                 seen.add(w)
                 ties.append(w)
-    ties.sort(key=lambda v: math.atan2(v[1], v[0]))
+    _sort_by_angle(ties)
+    i = next(i for i, v in enumerate(ties) if v[1] < 0)
+    ties = ties[i:] + ties[:i]
     mids = (tuple(map(operator.add, a, b)) for a, b in zip(ties, ties[1:] + ties[:1]))
     return ties + [mid for mid in mids if any(mid)]
 
@@ -332,29 +338,6 @@ def _exposed_vertices(region: Polytope, proj: DataSet) -> list[Vec]:
     return out
 
 
-def _descent_x0(region: Polytope, proj: DataSet) -> Vec:
-    """Iterative fallback: walk vertex-to-vertex until no optimal direction
-    of the current point sees another region vertex strictly ahead."""
-    z = barycenter(region)
-    vertices = list(region.vertices)
-    for _ in range(_DESCENT_CAP):
-        best_gap = Fraction(0)
-        best_x: Vec | None = None
-        for u in optimal_direction_cone(z, proj):
-            zval = dot(u, z)
-            for x in vertices:
-                if x == z:
-                    continue
-                gap = dot(u, x) - zval
-                if gap > best_gap:
-                    best_gap = gap
-                    best_x = x
-        if best_x is None or best_gap < _DESCENT_GAP:
-            return z
-        z = best_x
-    raise RuntimeError("attack descent did not terminate within the iteration cap")
-
-
 def build_attack(
     ds: DataSet,
     u: Sequence,
@@ -364,10 +347,12 @@ def build_attack(
 ) -> ContaminationPlan:
     """Contamination plan along direction ``u`` at roughly ``distance``.
 
-    Searches the projected median region for a point ``x0`` whose optimal
-    halfspace touches the region only at ``x0`` (exposed vertices first,
-    then an iterative descent); places ``m = ceil(n*lambda_u*)`` copies of
-    ``y0`` on the line through ``x0`` parallel to ``u``, outside the hull.
+    Takes ``x0`` from the projected median region: the smaller end of the
+    interval in the plane, and in space the smallest exposed vertex, one
+    with an optimal halfspace that touches the region only at ``x0``
+    (``RuntimeError`` if there is none); places ``m = ceil(n*lambda_u*)``
+    copies of ``y0`` on the line through ``x0`` parallel to ``u``, outside
+    the hull.
     """
     if ds.dim not in (2, 3):
         raise ValueError("attacks support d in {2, 3}")
@@ -384,7 +369,7 @@ def build_attack(
         lam_u = mr.lambda_star
         candidates = sorted(_exposed_vertices(mr.region, proj))
         if not candidates:
-            candidates = [_descent_x0(mr.region, proj)]
+            raise RuntimeError("the projected median region has no exposed vertex")
     x0_point: Vec = x0 if x0 is not None else candidates[0]
 
     reps = m if m is not None else math.ceil(ds.n * lam_u)

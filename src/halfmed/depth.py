@@ -592,46 +592,35 @@ def directional_quantile(ds: DataSet, u: Sequence[object], tau: object) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# 1-D order-statistic utilities (shared with the breakdown analysis)
+# 1-D order statistics (shared with regions and the breakdown analysis)
+
+
+def _levels_1d(values: Iterable[Fraction]) -> tuple[list[Fraction], int]:
+    """The values sorted, ``v_1 <= ... <= v_n``, and the deepest level.
+
+    The points of depth at least k/n form ``[v_k, v_{n-k+1}]``, nonempty
+    iff ``v_k <= v_{n-k+1}``, so the deepest level is the largest such k.
+    It is at least ``ceil(n/2)``, and above that the two order statistics
+    must be equal.
+    """
+    vals = sorted(values)
+    n = len(vals)
+    k = (n + 1) // 2
+    while k < n and vals[k] == vals[n - k - 1]:
+        k += 1
+    return vals, k
 
 
 def max_depth_1d(values: Sequence[Fraction]) -> tuple[Fraction, int]:
     """Largest 1-D depth over all points, as (value, count)."""
-    vals = sorted(values)
-    n = len(vals)
-    best = 0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and vals[j] == vals[i]:
-            j += 1
-        le = j
-        ge = n - i
-        best = max(best, min(le, ge))
-        i = j
-    return Fraction(best, n), best
+    vals, k = _levels_1d(values)
+    return Fraction(k, len(vals)), k
 
 
 def median_interval_1d(values: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
     """(left end, right end, max depth) of the 1-D maximal-depth region."""
-    vals = sorted(values)
-    n = len(vals)
-    _, best = max_depth_1d(vals)
-    lo = None
-    hi = None
-    i = 0
-    while i < n:
-        j = i
-        while j < n and vals[j] == vals[i]:
-            j += 1
-        if min(j, n - i) == best:
-            if lo is None:
-                lo = vals[i]
-            hi = vals[i]
-        i = j
-    if lo is None or hi is None:
-        raise RuntimeError("no value attains the maximal 1-D depth")
-    return lo, hi, Fraction(best, n)
+    vals, k = _levels_1d(values)
+    return vals[k - 1], vals[-k], Fraction(k, len(vals))
 
 
 # ---------------------------------------------------------------------------

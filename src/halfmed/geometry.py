@@ -481,10 +481,7 @@ def convex_hull_2d(points: Sequence[Vec]) -> list[Vec]:
 
     lower = chain(uniq)
     upper = chain(list(reversed(uniq)))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear collapse the chains
-        return [uniq[0], uniq[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def hull_halfspaces(ds: DataSet) -> list[Halfspace]:

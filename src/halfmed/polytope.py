@@ -417,8 +417,6 @@ def _polyhedron_centroid(verts: list[Vec], halfspaces) -> Vec:
         if len(face) < 3:
             continue
         cycle = _order_planar_cycle(sorted(face))
-        if len(cycle) < 3:
-            continue
         # orient the cycle so the face normal points away from g
         fsum = tuple(map(sum, zip(*cycle)))
         nrm = cross3(vsub(cycle[1], cycle[0]), vsub(cycle[2], cycle[0]))

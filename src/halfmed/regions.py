@@ -55,6 +55,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .depth import (
+    _levels_1d,
     depth_count,
     median_interval_1d,
     quantile_index,
@@ -303,11 +304,9 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
 
     if d == 1:
         k = quantile_index(ds.n, tau)
-        vals = sorted(p[0] for p in ds.points)
-        lo = vals[k - 1]
-        hi = vals[ds.n - k]
+        vals, _ = _levels_1d(p[0] for p in ds.points)
         out = []
-        for h in (halfspace((1,), lo), halfspace((-1,), -hi)):
+        for h in (halfspace((1,), vals[k - 1]), halfspace((-1,), -vals[-k])):
             cert = certificate_for(ds, h, tau)
             if cert is not None:
                 out.append(cert)
@@ -539,21 +538,26 @@ def _empty_region(dim: int) -> Polytope:
     e = tuple([Fraction(1)] + [Fraction(0)] * (dim - 1))
     hs = (halfspace(e, 1), halfspace(tuple(-c for c in e), 0))
     return Polytope(
-        halfspaces=hs, vertices=(), dim=dim, affine_dim=-1, empty=True, unbounded=False
+        halfspaces=hs, vertices=(), dim=dim, affine_dim=None, empty=True, unbounded=False
     )
 
 
-def _region_1d(ds: DataSet, tau: Fraction, k: int) -> Polytope:
-    vals = sorted(p[0] for p in ds.points)
-    lo = vals[k - 1]
-    hi = vals[ds.n - k]
-    if lo > hi:
-        return _empty_region(1)
+def _interval(lo: Fraction, hi: Fraction) -> Polytope:
     return intersect_halfspaces([halfspace((1,), lo), halfspace((-1,), -hi)], dim=1)
+
+
+def _region_1d(ds: DataSet, k: int) -> Polytope:
+    """Level k of 1-D data, ``[v_k, v_{n-k+1}]``: empty above the deepest level."""
+    vals, top = _levels_1d(p[0] for p in ds.points)
+    return _interval(vals[k - 1], vals[-k]) if k <= top else _empty_region(1)
 
 
 def _region_certificates(ds: DataSet, tau: Fraction, k: int):
     certs = enumerate_irrotatable(ds, tau)
+    if not certs:
+        # a nonempty level is the bounded intersection of its certificates,
+        # so a level without one lies above the maximal depth
+        return _empty_region(ds.dim), certs
     poly = intersect_halfspaces([c.halfspace for c in certs], dim=ds.dim)
     # outside the guaranteed range (tau above the maximal depth) the
     # intersection can overshoot; an exact depth check settles it
@@ -640,7 +644,7 @@ def depth_region(
         return RegionResult(poly, tau, k, "certificates", certs)
 
     if ds.dim == 1:
-        return RegionResult(_region_1d(ds, tau, k), tau, k, "cuts")
+        return RegionResult(_region_1d(ds, k), tau, k, "cuts")
 
     if ds.dim == 2:
         with _level_scope(ds, deadline):
@@ -693,8 +697,7 @@ def median_region(ds: DataSet, deadline: float | None = None) -> MedianResult:
     _check_deadline(deadline)
     if ds.dim == 1:
         lo, hi, lam = median_interval_1d([p[0] for p in ds.points])
-        poly = intersect_halfspaces([halfspace((1,), lo), halfspace((-1,), -hi)], dim=1)
-        return MedianResult(poly, lam, ((lo + hi) / 2,))
+        return MedianResult(_interval(lo, hi), lam, ((lo + hi) / 2,))
 
     if ds.dim == 3 and (ad := affine_dimension(ds)) < 3:
         if ad == 0:

@@ -1329,20 +1329,56 @@ def reference_projections(ds: DataSet, frame):
     return [[_reference_dot(b, p) for p in ds.points] for b in frame.basis]
 
 
+def reference_max_depth_1d(values):
+    """Largest 1-D depth by a scan of the groups of equal sorted values:
+    ``min(#{v <= x}, #{v >= x})`` at each, as (value, count)."""
+    vals = sorted(values)
+    n = len(vals)
+    best = 0
+    i = 0
+    while i < n:
+        j = i
+        while j < n and vals[j] == vals[i]:
+            j += 1
+        best = max(best, min(j, n - i))
+        i = j
+    return Fraction(best, n), best
+
+
+def reference_median_interval_1d(values):
+    """(first, last, depth) of the groups attaining the maximal 1-D depth."""
+    vals = sorted(values)
+    n = len(vals)
+    _, best = reference_max_depth_1d(vals)
+    lo = hi = None
+    i = 0
+    while i < n:
+        j = i
+        while j < n and vals[j] == vals[i]:
+            j += 1
+        if min(j, n - i) == best:
+            if lo is None:
+                lo = vals[i]
+            hi = vals[i]
+        i = j
+    return lo, hi, Fraction(best, n)
+
+
 def reference_projected_lambda(ds: DataSet, u) -> Fraction:
-    from halfmed.depth import max_depth_1d
     from halfmed.geometry import dataset
     from halfmed.regions import median_region
 
     cols = reference_projections(ds, reference_projection_frame(u, ds.dim))
     if ds.dim == 2:
-        return max_depth_1d(cols[0])[0]
+        return reference_max_depth_1d(cols[0])[0]
     return median_region(dataset(zip(*cols))).lambda_star
 
 
 def reference_tie_and_arc_directions(ds: DataSet):
     """Fraction tie directions (both signs of each point difference) by
-    angle, then the sum of each neighbouring pair."""
+    angle in (-pi, pi], then the sum of each neighbouring pair.  The order
+    is the exact comparator sort from the positive x-axis, rotated to start
+    at the first direction below it."""
     seen, ties = set(), []
     for a, b in itertools.combinations(sorted(set(ds.points)), 2):
         v = _reference_primitive(tuple(y - x for x, y in zip(a, b)))
@@ -1350,7 +1386,9 @@ def reference_tie_and_arc_directions(ds: DataSet):
             if w not in seen:
                 seen.add(w)
                 ties.append(w)
-    ties.sort(key=lambda v: math.atan2(float(v[1]), float(v[0])))
+    ties.sort(key=functools.cmp_to_key(_reference_angle_cmp))
+    i = next(i for i, v in enumerate(ties) if v[1] < 0)
+    ties = ties[i:] + ties[:i]
     out = list(ties)
     for a, b in zip(ties, ties[1:] + ties[:1]):
         mid = tuple(x + y for x, y in zip(a, b))

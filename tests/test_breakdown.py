@@ -6,7 +6,9 @@ against the exact region machinery.
 """
 
 import dataclasses
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ import pytest
 
 import halfmed.breakdown as breakdown
 import halfmed.geometry as geometry
+from halfmed.geometry import angular_cmp
 from halfmed import (
     BREAKDOWN_CSV_HEADER,
     ContaminationPlan,
@@ -153,6 +156,45 @@ class TestIntegerSearchMatchesReference:
                     ends.add(lo == hi)
         assert ends == {True, False}
 
+    def test_tie_order_matches_float_angles_on_small_sets(self):
+        # where floats order the ties correctly, the exact order is atan2's
+        rng = random.Random(2203)
+        done = 0
+        while done < 200:
+            n = rng.randint(3, 9)
+            ds = dataset([(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)])
+            if affine_dimension(ds) < 2:
+                continue
+            got = breakdown._tie_and_arc_directions(ds)
+            ties = sorted({w for v in breakdown._pair_directions(ds)
+                           for w in (v, tuple(-c for c in v))},
+                          key=lambda v: math.atan2(v[1], v[0]))
+            assert got[:len(ties)] == ties, ds.points
+            assert got == [tuple(map(int, v)) for v in reference_tie_and_arc_directions(ds)]
+            done += 1
+
+    def test_every_arc_gets_a_representative_at_2_60_scale(self):
+        # differences to two points near (2^60, 2^60) are nearly parallel:
+        # a float angle sorts them out of order, and the sums of neighbours
+        # in that order miss arcs between exactly adjacent ties
+        rng = random.Random(2204)
+        big = 2**60
+        for _ in range(300):
+            pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(5)]
+            pts += [(big + rng.randint(-3, 3), big + rng.randint(-3, 3)) for _ in range(2)]
+            ds = dataset(pts)
+            if affine_dimension(ds) < 2:
+                continue
+            out = breakdown._tie_and_arc_directions(ds)
+            ties = {w for v in breakdown._pair_directions(ds) for w in (v, tuple(-c for c in v))}
+            mids = out[len(ties):]
+            assert set(out[:len(ties)]) == ties
+            exact = sorted(ties, key=functools.cmp_to_key(angular_cmp))
+            for a, b in zip(exact, exact[1:] + exact[:1]):
+                assert any(a[0] * r[1] - a[1] * r[0] > 0 and r[0] * b[1] - r[1] * b[0] > 0
+                           for r in mids), (pts, a, b)
+            assert out == [tuple(map(int, v)) for v in reference_tie_and_arc_directions(ds)]
+
     def test_upper_bound_matches_three_loops(self):
         for ds in _degenerate_planar_sets() + _ball_sets_3d():
             for cfg in _CONFIGS:
@@ -242,6 +284,32 @@ class TestBounds:
         assert ub.bound == F(2, 7)
         assert ub.inf_lambda == F(2, 5)
         assert ub.exact  # the pinch floor ceil(5/3)/5 = 2/5 is attained
+
+    def test_three_dimensional_net(self, monkeypatch):
+        # symmetric sets never reach the pinch floor, so the whole cross
+        # product net runs; lambda* = 1/2 stops the search on its first probe
+        nets = []
+        real = breakdown._cross_directions
+
+        def spy(ds):
+            for u in real(ds):
+                nets.append(u)
+                yield u
+
+        monkeypatch.setattr(breakdown, "_cross_directions", spy)
+        for m, size in ((3, 23), (4, 102), (5, 300)):
+            ds = symmetrize(sample(uniform_ball(3), m, 0, bits=8), (0, 0, 0))
+            nets.clear()
+            ub = upper_bound(ds)
+            assert len(nets) == size
+            assert repr(ub) == repr(reference_upper_bound(ds)), ds.points
+            assert not ub.exact and ub.inf_lambda == F(1, 2)
+            assert median_region(ds).lambda_star == F(1, 2)
+            nets.clear()
+            ub = upper_bound(ds, lambda_star=F(1, 2))
+            assert nets == []
+            assert ub.exact and ub.inf_lambda == F(1, 2)
+            assert repr(ub) == repr(reference_upper_bound(ds, lambda_star=F(1, 2)))
 
     def test_requires_full_affine_dimension(self):
         col = dataset([(0, 0), (1, 1), (2, 2)])
@@ -403,6 +471,26 @@ class TestAttack:
         assert plan.m == 2
         assert res.escaped
         assert res.sup_depth_inside <= F(simp.n, 1) * plan.lambda_u / (simp.n + plan.m)
+
+    def test_missing_exposed_vertex_raises(self, monkeypatch):
+        simp = dataset([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
+        monkeypatch.setattr(breakdown, "_exposed_vertices", lambda region, proj: [])
+        with pytest.raises(RuntimeError, match="no exposed vertex"):
+            build_attack(simp, (0, 0, 1), distance=10**4)
+
+    def test_planar_median_regions_have_exposed_vertices(self):
+        # a 3-D attack takes x0 from the exposed vertices of a planar median
+        # region; small lattice sets with ties and duplicates always have one
+        rng = random.Random(2205)
+        sizes = set()
+        for _ in range(500):
+            n = rng.randint(3, 12)
+            r = rng.randint(1, 3)
+            ds = dataset([(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(n)])
+            region = median_region(ds).region
+            assert breakdown._exposed_vertices(region, ds), ds.points
+            sizes.add(min(len(region.vertices), 4))
+        assert sizes == {1, 2, 3, 4}
 
     def test_attack_soundness_random_instances(self):
         rng = random.Random(29)
@@ -629,6 +717,13 @@ class TestExactBreakdown:
             assert rep.lower <= ratio, (ds.points,)
             assert ratio <= rep.upper or ratio == rep.upper, (ds.points,)
             done += 1
+
+    def test_no_plan_below_m_max(self):
+        # lambda* = 1/2 puts the first m tried at 2, above m_max = 1
+        rep = exact_breakdown(DS_A, m_max=1)
+        assert (rep.exact_m, rep.witness_plan, rep.exact_ratio) == (None, None, None)
+        assert rep.lower == rep.upper == F(1, 3)
+        assert breakdown_csv_row(rep) == "4,2,1/3,1/3,,,,,"
 
     def test_csv_row_round_trip(self):
         rep = exact_breakdown(DS_A)

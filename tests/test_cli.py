@@ -169,17 +169,21 @@ class TestBreakdownOutputPinned:
         return str(p)
 
     @pytest.mark.parametrize("flags, body", [
-        ([], "upper        3/8  (exact: True)\n"
-             "inf lambda_u 3/5  at direction (730, -211)\n" + PINCHED),
-        (["--probes", "0", "--exhaustive"],
-         "upper        3/8  (exact: True)\n"
-         "inf lambda_u 3/5  at direction (-2, -1)\n" + PINCHED),
-        (["--probes", "0", "--no-exhaustive"],
-         "upper        7/17  (exact: False)\n"
-         "inf lambda_u 7/10  at direction (1, 0)\n"),
-        (["--probes", "2", "--seed", "3", "--no-exhaustive"],
-         "upper        3/8  (exact: True)\n"
-         "inf lambda_u 3/5  at direction (-512, 214)\n" + PINCHED),
+        pytest.param([], "upper        3/8  (exact: True)\n"
+                         "inf lambda_u 3/5  at direction (730, -211)\n" + PINCHED,
+                     id="default"),
+        pytest.param(["--probes", "0", "--exhaustive"],
+                     "upper        3/8  (exact: True)\n"
+                     "inf lambda_u 3/5  at direction (-2, -1)\n" + PINCHED,
+                     id="sweep-only"),
+        pytest.param(["--probes", "0", "--no-exhaustive"],
+                     "upper        7/17  (exact: False)\n"
+                     "inf lambda_u 7/10  at direction (1, 0)\n",
+                     id="axes-only"),
+        pytest.param(["--probes", "2", "--seed", "3", "--no-exhaustive"],
+                     "upper        3/8  (exact: True)\n"
+                     "inf lambda_u 3/5  at direction (-512, 214)\n" + PINCHED,
+                     id="probes-reach-lambda-star"),
     ])
     def test_bounds(self, capsys, grid_file, flags, body):
         code, out, _ = run(capsys, ["bounds", "--data", grid_file] + flags)
@@ -188,6 +192,12 @@ class TestBreakdownOutputPinned:
     def test_breakdown(self, capsys, grid_file):
         code, out, _ = run(capsys, ["breakdown", "--data", grid_file])
         assert (code, out) == (0, "n=10 d=2\nlower    3/8\nupper    3/8\nexact m  6  (ratio 3/8)\n")
+
+    def test_breakdown_not_found_below_the_floor(self, capsys, grid_file):
+        # lambda* = 3/5 puts the first m tried at 6, above --m-max 5
+        code, out, _ = run(capsys, ["breakdown", "--data", grid_file, "--m-max", "5"])
+        assert (code, out) == (0, "n=10 d=2\nlower    3/8\nupper    3/8\n"
+                                  "exact m  not found within the search family\n")
 
     @pytest.mark.parametrize("flags, body", [
         ([], "direction    (730, -211)  inf lambda_u 3/5\n"

@@ -44,7 +44,9 @@ from oracles import (
     reference_edge_witness,
     reference_groups,
     reference_low_dim_depth,
+    reference_max_depth_1d,
     reference_max_window,
+    reference_median_interval_1d,
     reference_planar_groups,
     reference_convex_hull_contains,
     reference_recount,
@@ -280,6 +282,21 @@ class TestOneDimensionalSummaries:
             eps = F(1, 100)
             assert tukey_depth((lo - eps,), ds).value < lam
             assert tukey_depth((hi + eps,), ds).value < lam
+
+    def test_closed_form_matches_group_scans(self):
+        # the deepest level read from v_k <= v_{n-k+1} against the scans of
+        # the groups of equal values, on multisets with many ties
+        rng = random.Random(2201)
+        deeper = 0
+        for _ in range(10_000):
+            n = rng.randint(1, 14)
+            spread = rng.randint(0, 4)
+            vals = [F(rng.randint(-spread, spread), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+            assert repr(max_depth_1d(vals)) == repr(reference_max_depth_1d(vals)), vals
+            assert repr(median_interval_1d(vals)) == repr(reference_median_interval_1d(vals)), vals
+            deeper += max_depth_1d(vals)[1] > (n + 1) // 2
+        # a deepest level above ceil(n/2) needs a tie at the middle
+        assert deeper > 1_000
 
 
 def _fraction_recount(ds, x, u):

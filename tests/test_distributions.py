@@ -108,6 +108,38 @@ class TestSampling:
                 break
         assert collinear
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_float_degenerate_draws_match_the_exact_ones(self, dim):
+        # sample_floats applies the duplication and the flattening of
+        # sample() in floats, to the same draws with the same masks
+        spec = degenerate_sampler(uniform_ball(dim, 1.0), dup_rate=0.3, collinear_rate=0.5)
+        n = 40
+        for seed in range(3):
+            rows = sample_floats(spec, n, seed)
+            pts = sample(spec, n, seed).points
+            assert rows.shape == (n, dim)
+            assert np.allclose(rows, np.array(pts, dtype=float), rtol=0, atol=1e-12)
+            # duplicates: equal in both; a copy of a middle point that was
+            # then flattened differs from it by rounding in floats only
+            dup_x = {i for i in range(1, n) if pts[i] == pts[i - 1]}
+            assert dup_x
+            for i in range(1, n):
+                close = np.allclose(rows[i], rows[i - 1], rtol=0, atol=1e-12)
+                assert close == (i in dup_x), (seed, i)
+                if i in dup_x and i % 3 != 2:
+                    assert np.array_equal(rows[i], rows[i - 1]), (seed, i)
+            # flattened triples: collinear exactly, and up to rounding in floats
+            flat_f, flat_x = set(), set()
+            for j in range(n // 3):
+                for tri, out, tol in ((rows, flat_f, 1e-12), (pts, flat_x, 0)):
+                    a, b, c = tri[3 * j:3 * j + 3]
+                    u = [y - x for x, y in zip(a, b)]
+                    v = [y - x for x, y in zip(a, c)]
+                    if all(abs(u[i] * v[k] - u[k] * v[i]) <= tol
+                           for i in range(dim) for k in range(i)):
+                        out.add(j)
+            assert flat_f == flat_x and len(flat_x) >= 3
+
     def test_metadata_records_provenance(self):
         spec = uniform_ball(2, 1.0)
         ds = sample(spec, 10, seed=42)

@@ -879,6 +879,75 @@ class TestHalfspacesAreReduced:
 # invariants on random degenerate instances
 
 
+def _lattice_sets(rng, dim, count):
+    """Small full-dimensional sets on the lattice [-3, 3]^dim, ties included."""
+    out = []
+    while len(out) < count:
+        ds = dataset([tuple(rng.randint(-3, 3) for _ in range(dim))
+                      for _ in range(rng.randint(4, 8))])
+        if affine_dimension(ds) == dim:
+            out.append(ds)
+    return out
+
+
+class TestLevelsAboveTheMaximalDepth:
+    """Every level in (lambda*, 1] is one empty ``Polytope``, on every route:
+    ``affine_dim`` None, no vertices, and no error where no certificate
+    exists."""
+
+    @staticmethod
+    def _check_empty(poly, dim):
+        assert (poly.empty, poly.vertices, poly.affine_dim, poly.dim) == (True, (), None, dim)
+
+    @pytest.mark.parametrize("dim, count", [(1, 40), (2, 40), (3, 12)])
+    def test_both_routes(self, dim, count):
+        rng = random.Random(2206 + dim)
+        levels = without_certificate = 0
+        for ds in _lattice_sets(rng, dim, count):
+            k_star = int(median_region(ds).lambda_star * ds.n)
+            for k in range(k_star + 1, ds.n + 1):
+                for method in ("auto", "cuts", "certificates"):
+                    res = depth_region(ds, F(k, ds.n), method=method)
+                    self._check_empty(res.polytope, dim)
+                levels += 1
+                without_certificate += not res.certificates
+        assert levels > count
+        # on a line both ends always certify; in the plane and in space some
+        # levels above lambda* have no certificate at all
+        assert (without_certificate > 0) == (dim > 1)
+
+    @pytest.mark.parametrize("adim", [1, 2])
+    def test_flat_data_in_space(self, adim):
+        rng = random.Random(2209 + adim)
+        for _ in range(10):
+            ds = random_flat_dataset_3d(rng, adim)
+            k_star = int(median_region(ds).lambda_star * ds.n)
+            for k in range(k_star + 1, ds.n + 1):
+                self._check_empty(depth_region(ds, F(k, ds.n)).polytope, 3)
+
+
+class TestOneDimensionalLevels:
+    def test_certificates_are_the_two_ends(self):
+        # level k of a line is [v_k, v_{n-k+1}]: the halfspaces through the
+        # two order statistics are its certificates at every level, and up to
+        # lambda* the certificate route gives the cuts route's polytope
+        rng = random.Random(2212)
+        for ds in _lattice_sets(rng, 1, 40):
+            vals = sorted(p[0] for p in ds.points)
+            for k in range(1, ds.n + 1):
+                tau = F(k, ds.n)
+                ends = (halfspace((1,), vals[k - 1]), halfspace((-1,), -vals[ds.n - k]))
+                want = tuple(reference_certificate_for(ds, h, tau) for h in ends)
+                assert enumerate_irrotatable(ds, tau) == want, (ds.points, k)
+                cuts = depth_region(ds, tau, method="cuts")
+                certs = depth_region(ds, tau, method="certificates")
+                assert certs.certificates == want
+                assert cuts.polytope.empty == certs.polytope.empty == (
+                    vals[k - 1] > vals[ds.n - k])
+                if not cuts.polytope.empty:
+                    assert repr(certs.polytope) == repr(cuts.polytope), (ds.points, k)
+
+
 class TestRegionOracleBattery:
     def test_routes_agree_and_match_pointwise_depth_2d(self):
         rng = random.Random(1234)

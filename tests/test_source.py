@@ -31,6 +31,18 @@ def test_no_raise_assertion_error_in_package():
     assert found == []
 
 
+def test_no_float_angles_in_package():
+    # angular order is exact: it comes from ``geometry.angular_cmp`` or
+    # ``depth._sort_by_angle``, never from a float angle
+    found = []
+    for path, node in _nodes():
+        name = node.attr if isinstance(node, ast.Attribute) else (
+            node.id if isinstance(node, ast.Name) else getattr(node, "name", None))
+        if name in ("atan2", "arctan2"):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_denominators_are_cleared_only_in_geometry():
     # ``geometry.int_point`` is the one routine that clears the denominators
     # of a rational vector; elsewhere an lcm over denominators is a copy of it
