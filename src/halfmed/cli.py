@@ -7,8 +7,10 @@ Subcommands::
     halfmed median       maximal-depth region and its barycenter
     halfmed bounds       breakdown-robustness bounds (lower / upper)
     halfmed attack       build + verify worst-case contamination plans
+    halfmed breakdown    exhaustive exact breakdown search (small n)
     halfmed convergence  sampling experiment: bounds vs. sample size
     halfmed probe        symmetry / smoothness / continuity probes
+    halfmed sample       draw a dataset from a spec file
 
 Datasets come from ``--data FILE`` (one point per line, rational or decimal
 coordinates, ``#`` comments) or are sampled with ``--spec FILE --n SIZE``
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .geometry import DataSet, as_fraction, format_rational, read_dataset, write_dataset
 from .depth import tukey_depth
-from .regions import depth_region, median_region
+from .regions import depth_region, enumerate_irrotatable, median_region
 from .breakdown import (
     DirectionSearchConfig,
     build_attack,
@@ -121,23 +123,21 @@ def _cmd_depth(args) -> int:
 def _cmd_region(args) -> int:
     ds = _load_dataset(args)
     tau = as_fraction(args.tau)
-    method = args.method
-    if args.certificates and method == "auto":
-        method = "certificates"
-    result = depth_region(ds, tau, method=method)
+    # enumerated first: flat data refuse before anything is printed
+    certs = enumerate_irrotatable(ds, tau) if args.certificates else None
+    result = depth_region(ds, tau)
     poly = result.polytope
     k = result.required
     print(f"tau      {format_rational(tau)}  (requires >= {k} of {ds.n} points)")
-    print(f"method   {result.method}")
     if poly.empty:
         print("region   empty (tau above the maximal depth)")
     else:
         print(f"region   {len(poly.vertices)} vertices, {len(poly.halfspaces)} halfspaces")
         for v in poly.vertices:
             print("  vertex " + _fmt(v))
-    if args.certificates and result.certificates is not None:
-        print(f"certificates ({len(result.certificates)}):")
-        for cert in result.certificates:
+    if certs is not None:
+        print(f"certificates ({len(certs)}):")
+        for cert in certs:
             print(
                 f"  normal {_fmt(cert.halfspace.normal)} offset "
                 f"{format_rational(cert.halfspace.offset)} boundary "
@@ -325,12 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="depth region polytope at a level tau")
     _add_input_flags(p)
     p.add_argument("--tau", required=True, help="depth level, e.g. '1/4' or '0.25'")
-    p.add_argument(
-        "--method",
-        choices=("auto", "cuts", "certificates"),
-        default="auto",
-        help="construction route (default auto)",
-    )
     p.add_argument("--certificates", action="store_true", help="print the certificate list")
     p.add_argument("--out", metavar="DIR", help="write region geometry files here")
     p.add_argument("--stem", default="region", help="filename stem for --out")

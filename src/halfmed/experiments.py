@@ -27,7 +27,7 @@ import math
 import pathlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -89,8 +89,6 @@ class ExperimentConfig:
     instances, and ``max(n_schedule)`` caps the instance size).  ``search``
     overrides the direction-search configuration; by default each run picks
     probes plus the exact sweep only for small datasets, where it is cheap.
-    ``options`` tunes the preflight probes (keys ``symmetry_N``,
-    ``smoothness_N``, ``smoothness_threshold``).
     """
 
     name: str
@@ -102,7 +100,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     budget_s: float = 60.0
     precision_bits: int = 21
-    options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.n_schedule or any(
@@ -265,18 +262,10 @@ def run_convergence(cfg: ExperimentConfig, theta0=None) -> ConvergenceResult:
     spec = cfg.spec
     center = tuple(theta0) if theta0 is not None else spec.center
 
-    sym_n = int(cfg.options.get("symmetry_N", 100_000))
-    smooth_n = int(cfg.options.get("smoothness_N", 100_000))
-    sym = halfspace_symmetry_probe(spec, center, N=sym_n, seed=cfg.seed)
+    sym = halfspace_symmetry_probe(spec, center, seed=cfg.seed)
     if sym.verdict != "PASS":
         raise PreflightError(sym)
-    smooth = smoothness_probe(
-        spec,
-        center,
-        N=smooth_n,
-        seed=cfg.seed,
-        threshold=float(cfg.options.get("smoothness_threshold", 0.02)),
-    )
+    smooth = smoothness_probe(spec, center, seed=cfg.seed)
     if smooth.verdict != "SMOOTH":
         raise PreflightError(smooth)
 

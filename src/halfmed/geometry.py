@@ -546,17 +546,23 @@ def _hull_halfspaces_3d(ds: DataSet) -> list[Halfspace]:
         return frame.equations() + [frame.halfspace(h) for h in hull_halfspaces(reduced)]
 
     # a facet is a candidate plane with no point strictly on one side,
-    # oriented so that every point satisfies p . x >= off
+    # oriented so that every point satisfies p . x >= off; the scan of a
+    # plane stops at the first point that puts points on both sides
     scale, rows = ds.scaled_ints()
     facets: dict[tuple[int, ...], Halfspace] = {}
     for _, _, p, off in _candidate_planes(rows):
-        cut, boundary = _split(rows, p, off)
-        if cut:
-            if cut + len(boundary) < len(rows):
-                continue
-            p, off = tuple(-c for c in p), -off
-        if p not in facets:
-            facets[p] = Halfspace.of_row(tuple(scale * c for c in p), off, scale)
+        below = above = False
+        for r in rows:
+            s = sum(map(operator.mul, p, r))
+            below |= s < off
+            above |= s > off
+            if below and above:
+                break
+        else:
+            if below:
+                p, off = tuple(-c for c in p), -off
+            if p not in facets:
+                facets[p] = Halfspace.of_row(tuple(scale * c for c in p), off, scale)
     return list(facets.values())
 
 

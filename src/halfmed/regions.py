@@ -1,39 +1,37 @@
 """Depth regions as explicit convex polytopes, and the deepest-point median.
 
-Two construction routes are provided:
+The region at level ``tau`` is the intersection of the *non-rotatable*
+supporting halfspaces (``enumerate_irrotatable``): closed halfspaces that
+(a) strictly cut off at most ``ceil(n*tau) - 1`` points and (b) are pinned
+by their boundary points: some ``d-1`` of them span a pivot flat about which
+rotating the boundary in some sense would sweep enough further boundary
+points strictly below to exceed the allowance.  For data of full affine
+dimension, up to the maximal depth, these finitely many halfspaces meet
+exactly in the region.
 
-* **certificates** — enumerate every *non-rotatable* supporting halfspace: a
-  closed halfspace that (a) strictly cuts off at most ``ceil(n*tau) - 1``
-  points and (b) is pinned by its boundary points: some ``d-1`` of them span
-  a pivot flat about which rotating the boundary in some sense would sweep
-  enough further boundary points strictly below to exceed the allowance.
-  For data of full affine dimension the region is exactly the intersection
-  of these finitely many halfspaces.
+``depth_region`` builds it with one exact cutting-plane loop per dimension:
+start from the axis quantile halfspaces (a bounding box of the region), cut
+off each vertex of the current polytope that lies outside the region with a
+valid halfspace, and stop when every vertex is certified.  Quasi-concavity
+of the depth makes the certified polytope exactly the region.  The polytope
+is carried through the rounds on exact integers and updated by each round's
+cuts only.
 
-* **cuts** — an exact cutting-plane loop: start from the axis quantile
-  halfspaces (a bounding box of the region), cut off each vertex of the
-  current polytope that lies outside the region with a valid halfspace,
-  and stop when every vertex is certified.  Quasi-concavity of the depth
-  makes the certified polytope exactly the region.  The polytope is carried
-  through the rounds on exact integers and updated by each round's cuts
-  only.  In the plane every vertex gets an exact depth evaluation; the
-  polygon is clipped by each new cut, and the cuts are tightened to
-  *critical* directions (perpendiculars of point differences): on any arc
-  of directions where the quantile contact point is constant, the quantile
+* In the plane every vertex gets an exact depth evaluation; the polygon is
+  clipped by each new cut, and the cuts are tightened to *critical*
+  directions (perpendiculars of point differences): on any arc of
+  directions where the quantile contact point is constant, the quantile
   halfspaces form a pencil through that contact, so the arc's endpoint
   halfspaces carve everything the arc can carve.  Critical directions form
-  a finite family, which guarantees termination.  In space the cuts are
-  the level's certificates, which all contain the region and, up to the
-  maximal depth, meet in it: a vertex lies outside the region exactly when
-  one of them excludes it, an integer dot product each.  A level counts
-  the depth of one vertex at most: the first that no certificate excludes,
-  and none once a point of that depth is known.  A shallow one shows the
-  level to be empty.
-
-The routes are independent in the plane only: in space the cutting loop
-cuts with the certificate family.  Both return identical polytopes; the
-cutting route scales to thousands of points and tolerates degenerate
-(affinely deficient) data.
+  a finite family, which guarantees termination, and the loop scales to
+  thousands of points.
+* In space the cuts are the level's certificates, which all contain the
+  region: a vertex lies outside the region exactly when one of them
+  excludes it, an integer dot product each.  A level counts the depth of
+  one vertex at most: the first that no certificate excludes, and none once
+  a point of that depth is known.  A shallow one shows the level to be
+  empty.
+* On a line the level is the interval between two order statistics.
 
 3-D data on a line or a plane are reduced once per call, at the entry of
 ``depth_region`` and ``median_region``, to the coordinates of their affine
@@ -90,7 +88,6 @@ from .polytope import (
     barycenter,
     dedup_halfspaces,
     intersect_halfspaces,
-    vertex_centroid,
 )
 
 _MAX_CUT_ROUNDS = 500
@@ -124,8 +121,6 @@ class RegionResult:
     polytope: Polytope
     tau: Fraction
     required: int
-    method: str
-    certificates: tuple[IrrotatableCertificate, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -299,7 +294,7 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
     if affine_dimension(ds) < d:
         raise ValueError(
             "certificate enumeration requires full affine-dimensional data; "
-            "use the cutting-plane region route for degenerate datasets"
+            "use depth_region for degenerate datasets"
         )
 
     if d == 1:
@@ -552,20 +547,6 @@ def _region_1d(ds: DataSet, k: int) -> Polytope:
     return _interval(vals[k - 1], vals[-k]) if k <= top else _empty_region(1)
 
 
-def _region_certificates(ds: DataSet, tau: Fraction, k: int):
-    certs = enumerate_irrotatable(ds, tau)
-    if not certs:
-        # a nonempty level is the bounded intersection of its certificates,
-        # so a level without one lies above the maximal depth
-        return _empty_region(ds.dim), certs
-    poly = intersect_halfspaces([c.halfspace for c in certs], dim=ds.dim)
-    # outside the guaranteed range (tau above the maximal depth) the
-    # intersection can overshoot; an exact depth check settles it
-    if not poly.empty and (poly.unbounded or depth_count(vertex_centroid(poly), ds) < k):
-        poly = _empty_region(ds.dim)
-    return poly, certs
-
-
 def _region_3d_lazy_certificates(
     ds: DataSet, tau: Fraction, k: int, deadline: float | None, counts: dict[Vec, int]
 ) -> Polytope:
@@ -615,41 +596,29 @@ def _region_3d_lazy_certificates(
     raise RuntimeError("certificate cutting loop failed to converge")
 
 
-def depth_region(
-    ds: DataSet,
-    tau: object,
-    method: str = "auto",
-    deadline: float | None = None,
-) -> RegionResult:
+def depth_region(ds: DataSet, tau: object, deadline: float | None = None) -> RegionResult:
     """The set of points whose depth is at least ``tau``, as a polytope.
 
-    ``method`` is ``"auto"``, ``"cuts"``, or ``"certificates"``; the
-    certificate route requires data of full affine dimension.  Results are
-    exact for every rational dataset in dimensions 1-3, including data with
-    duplicated or collinear points.  3-D data on a line or plane are solved
-    in the coordinates of their affine hull and lifted back.
+    Results are exact for every rational dataset in dimensions 1-3,
+    including data with duplicated or collinear points.  3-D data on a line
+    or plane are solved in the coordinates of their affine hull and lifted
+    back.
     """
     tau = as_fraction(tau)
     if not (0 < tau <= 1):
         raise ValueError("tau must lie in (0, 1]")
-    if method not in ("auto", "cuts", "certificates"):
-        raise ValueError(f"unknown region method: {method!r}")
     if ds.dim > 3:
         raise ValueError("depth regions support d <= 3")
     _check_deadline(deadline)
     k = quantile_index(ds.n, tau)
 
-    if method == "certificates":
-        poly, certs = _region_certificates(ds, tau, k)
-        return RegionResult(poly, tau, k, "certificates", certs)
-
     if ds.dim == 1:
-        return RegionResult(_region_1d(ds, k), tau, k, "cuts")
+        return RegionResult(_region_1d(ds, k), tau, k)
 
     if ds.dim == 2:
         with _level_scope(ds, deadline):
             poly, _ = _region_by_cuts_2d(ds, tau, k, deadline)
-        return RegionResult(poly, tau, k, "cuts")
+        return RegionResult(poly, tau, k)
 
     ad = affine_dimension(ds)
     if ad == 3:
@@ -664,7 +633,7 @@ def depth_region(
     else:
         frame, reduced = reduce_dataset(ds)
         poly = _lift_region(frame, depth_region(reduced, tau, deadline=deadline).polytope)
-    return RegionResult(poly, tau, k, "cuts")
+    return RegionResult(poly, tau, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1444,3 +1444,48 @@ def reference_upper_bound(ds: DataSet, cfg=None, lambda_star=None):
             if lam == floor:
                 return UpperBoundResult(lam / (1 + lam), u, lam, True)
     return UpperBoundResult(best / (1 + best), best_u, best, best in (floor, lambda_star))
+
+
+# ---------------------------------------------------------------------------
+# the certificate region route, and the 3-D hull by full splits
+
+
+def reference_region_certificates(ds: DataSet, tau):
+    """``(region, certificates)`` at level ``tau``: the intersection of
+    every irrotatable halfspace, the reference for ``depth_region``."""
+    from halfmed.depth import depth_count, quantile_index
+    from halfmed.geometry import as_fraction
+    from halfmed.polytope import intersect_halfspaces, vertex_centroid
+    from halfmed.regions import _empty_region, enumerate_irrotatable
+
+    tau = as_fraction(tau)
+    k = quantile_index(ds.n, tau)
+    certs = enumerate_irrotatable(ds, tau)
+    if not certs:
+        # a nonempty level is the bounded intersection of its certificates,
+        # so a level without one lies above the maximal depth
+        return _empty_region(ds.dim), certs
+    poly = intersect_halfspaces([c.halfspace for c in certs], dim=ds.dim)
+    # outside the guaranteed range (tau above the maximal depth) the
+    # intersection can overshoot; an exact depth check settles it
+    if not poly.empty and (poly.unbounded or depth_count(vertex_centroid(poly), ds) < k):
+        poly = _empty_region(ds.dim)
+    return poly, certs
+
+
+def reference_hull_halfspaces_3d(ds: DataSet):
+    """The facets of a full-dimensional 3-D set, each candidate plane
+    classified by a full ``_split`` of the rows."""
+    from halfmed.geometry import Halfspace, _candidate_planes, _split
+
+    scale, rows = ds.scaled_ints()
+    facets = {}
+    for _, _, p, off in _candidate_planes(rows):
+        cut, boundary = _split(rows, p, off)
+        if cut:
+            if cut + len(boundary) < len(rows):
+                continue
+            p, off = tuple(-c for c in p), -off
+        if p not in facets:
+            facets[p] = Halfspace.of_row(tuple(scale * c for c in p), off, scale)
+    return list(facets.values())

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: output content and exit codes."""
 
+from fractions import Fraction as F
+
 import pytest
 
 from halfmed.cli import main
@@ -58,6 +60,59 @@ class TestRegion:
         assert code == 0
         assert out.count("boundary") >= 4
 
+    CERTS_HALF = ("  normal (-1, 1) offset 0 boundary [0, 2, 3] cut 1\n"
+                  "  normal (1, -1) offset 0 boundary [0, 2, 3] cut 0\n"
+                  "  normal (1, 1) offset 2 boundary [1, 2, 3] cut 1\n"
+                  "  normal (-1, -1) offset -2 boundary [1, 2, 3] cut 0\n")
+    CERTS_THREE_QUARTERS = ("  normal (-1, 1) offset 0 boundary [0, 2, 3] cut 1\n"
+                            "  normal (0, -2) offset 0 boundary [0, 1] cut 2\n"
+                            "  normal (1, 1) offset 2 boundary [1, 2, 3] cut 1\n")
+
+    @pytest.mark.parametrize("tau, want", [
+        pytest.param("1/2", "tau      1/2  (requires >= 2 of 4 points)\n"
+                            "region   1 vertices, 5 halfspaces\n"
+                            "  vertex (1, 1)\n"
+                            "certificates (4):\n" + CERTS_HALF, id="half"),
+        pytest.param("3/4", "tau      3/4  (requires >= 3 of 4 points)\n"
+                            "region   empty (tau above the maximal depth)\n"
+                            "certificates (3):\n" + CERTS_THREE_QUARTERS,
+                     id="above-lambda-star"),
+    ])
+    def test_certificates_pinned(self, capsys, data_file, tau, want):
+        code, out, err = run(capsys, ["region", "--data", data_file, "--tau", tau,
+                                      "--certificates"])
+        assert (code, out, err) == (0, want, "")
+
+    @pytest.mark.parametrize("text", [
+        "0\n1\n2\n2\n5\n5\n",
+        DS_A_TEXT,
+        "0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n0 2\n1 2\n2 2\n1 1\n",
+        "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 1 1\n",
+    ], ids=["1d", "2d", "grid", "3d"])
+    def test_certificates_listed_at_every_level(self, capsys, tmp_path, text):
+        # the list follows the region lines at every level, empty ones included
+        from halfmed import enumerate_irrotatable, read_dataset
+
+        path = tmp_path / "ds.txt"
+        path.write_text(text)
+        ds = read_dataset(str(path))
+        for k in range(1, ds.n + 1):
+            tau = f"{k}/{ds.n}"
+            _, region, _ = run(capsys, ["region", "--data", str(path), "--tau", tau])
+            code, out, _ = run(capsys, ["region", "--data", str(path), "--tau", tau,
+                                        "--certificates"])
+            certs = enumerate_irrotatable(ds, F(k, ds.n))
+            assert code == 0 and out.startswith(region)
+            lines = out[len(region):].splitlines()
+            assert lines[0] == f"certificates ({len(certs)}):"
+            assert len(lines) == len(certs) + 1
+
+    def test_no_route_option(self, capsys, data_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--data", data_file, "--tau", "1/2", "--method", "cuts"])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
+
     def test_invalid_tau_refused(self, capsys, data_file):
         code, _, err = run(capsys, ["region", "--data", data_file, "--tau", "7/4"])
         assert code == 2
@@ -76,7 +131,7 @@ class TestRegion:
 class TestFlatDataFiles:
     # a coplanar and a collinear set in space, with duplicates
     FLAT = {
-        "plane": "0 0 1\n3 0 4\n0 2 5\n1 1 4\n1 1 4\n2 1/2 7/2\n1/3 1 10/3\n",
+        "plane": "0 0 1\n3 0 4\n0 2 5\n1 1 4\n1 1 4\n2 1/2 4\n1/3 1 10/3\n",
         "line": "0 1 2\n1 3 1\n2 5 0\n2 5 0\n-1/2 0 5/2\n",
     }
 
@@ -103,6 +158,15 @@ class TestFlatDataFiles:
         got = self._files(capsys, tmp_path, name, "dual")
         monkeypatch.setattr(regions, "reduce_dataset", reference_reduce_dataset)
         assert got == self._files(capsys, tmp_path, name, "gram")
+
+    @pytest.mark.parametrize("name", ["plane", "line"])
+    def test_certificates_refused_before_any_output(self, capsys, tmp_path, name):
+        data = tmp_path / f"{name}.txt"
+        data.write_text(self.FLAT[name])
+        code, out, err = run(capsys, ["region", "--data", str(data), "--tau", "1/3",
+                                      "--certificates"])
+        assert (code, out) == (2, "")
+        assert "full affine-dimensional" in err
 
 
 class TestMedianAndBounds:
@@ -305,3 +369,31 @@ class TestConvergenceCommand:
         assert code == 0
         assert (tmp_path / "runs").exists()
         assert "16" in out and "24" in out
+
+
+class TestSubcommandDocs:
+    @staticmethod
+    def _subcommands():
+        import argparse
+
+        from halfmed.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    def test_every_subcommand_in_the_module_docstring(self):
+        from halfmed import cli
+
+        names = self._subcommands()
+        assert len(names) == 9
+        for name in names:
+            assert f"halfmed {name} " in cli.__doc__, name
+
+    def test_every_subcommand_in_the_readme(self):
+        import pathlib
+
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        for name in self._subcommands():
+            assert f"$ halfmed {name} " in section, name

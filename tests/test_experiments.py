@@ -96,7 +96,6 @@ class TestConvergence:
                 seed=5,
                 out_dir=out,
                 budget_s=120.0,
-                options={"symmetry_N": 20_000, "smoothness_N": 20_000},
             )
 
         res = run_convergence(cfg(tmp_path / "a"))
@@ -126,7 +125,6 @@ class TestConvergence:
             n_schedule=(16,),
             trials=1,
             out_dir=tmp_path,
-            options={"symmetry_N": 20_000},
         )
         with pytest.raises(PreflightError) as exc:
             run_convergence(cfg)
@@ -139,7 +137,6 @@ class TestConvergence:
             n_schedule=(16,),
             trials=1,
             out_dir=tmp_path,
-            options={"symmetry_N": 20_000, "smoothness_N": 20_000},
         )
         with pytest.raises(PreflightError) as exc:
             run_convergence(cfg)
@@ -153,7 +150,6 @@ class TestConvergence:
             trials=2,
             out_dir=tmp_path,
             budget_s=0.0,
-            options={"symmetry_N": 20_000, "smoothness_N": 20_000},
         )
         res = run_convergence(cfg)
         assert res.aborted

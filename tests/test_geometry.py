@@ -42,6 +42,7 @@ from oracles import (
     random_flat_dataset_3d,
     reference_extreme_points_3d,
     reference_frame_basis,
+    reference_hull_halfspaces_3d,
     reference_int_halfspace,
     reference_int_point,
     reference_matrix_rank,
@@ -372,6 +373,24 @@ class TestHullHalfspaces:
             p = intersect_halfspaces(hull_halfspaces(ds), dim=3)
             assert p.affine_dim == adim and not p.unbounded
             assert sorted(p.vertices) == reference_extreme_points_3d(ds.points), ds.points
+
+    def test_3d_facets_match_the_full_split_reference(self):
+        # the scan of a plane stops once points lie on both sides; the
+        # facets and their order are those of a full split of every plane
+        from halfmed import sample, uniform_ball
+
+        rng = random.Random(37)
+        grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+        sets = [dataset(grid), dataset(grid + grid[::4]),
+                dataset([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)])]
+        sets += [sample(uniform_ball(3), n, seed=0, bits=53) for n in (12, 20)]
+        while len(sets) < 45:
+            ds = random_dataset(rng, 3, max_n=10, dup_prob=0.3, collinear_prob=0.3,
+                                denom=2, span=1)
+            if affine_dimension(ds) == 3:
+                sets.append(ds)
+        for ds in sets:
+            assert hull_halfspaces(ds) == reference_hull_halfspaces_3d(ds), ds.points
 
     def test_each_call_returns_a_fresh_list(self):
         for ds in (dataset([(0,), (3,)]), dataset([(0, 0), (2, 0), (1, 1)]),

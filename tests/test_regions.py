@@ -54,6 +54,7 @@ from oracles import (
     reference_reduce_dataset,
     reference_region_3d_lazy_certificates,
     reference_region_by_cuts_2d,
+    reference_region_certificates,
 )
 
 DS_A = dataset([(0, 0), (2, 0), (1, 1), (1, 1)])
@@ -65,6 +66,11 @@ def verts(region_result):
     return sorted(region_result.polytope.vertices)
 
 
+def both_routes(ds, tau):
+    """The region of ``depth_region`` and of the certificate reference."""
+    return depth_region(ds, tau).polytope, reference_region_certificates(ds, tau)[0]
+
+
 # ---------------------------------------------------------------------------
 # frozen fixtures: the degenerate four-point example
 
@@ -72,17 +78,17 @@ def verts(region_result):
 class TestDegenerateExample:
     def test_region_quarter_is_data_triangle(self):
         want = sorted([(F(0), F(0)), (F(1), F(1)), (F(2), F(0))])
-        for method in ("cuts", "certificates", "auto"):
-            assert verts(depth_region(DS_A, F(1, 4), method=method)) == want
+        for poly in both_routes(DS_A, F(1, 4)):
+            assert sorted(poly.vertices) == want
 
     def test_region_half_is_singleton(self):
         want = [(F(1), F(1))]
-        for method in ("cuts", "certificates"):
-            assert verts(depth_region(DS_A, F(1, 2), method=method)) == want
+        for poly in both_routes(DS_A, F(1, 2)):
+            assert sorted(poly.vertices) == want
 
     def test_region_above_max_depth_empty(self):
-        for method in ("cuts", "certificates"):
-            assert depth_region(DS_A, F(3, 4), method=method).polytope.empty
+        for poly in both_routes(DS_A, F(3, 4)):
+            assert poly.empty
 
     def test_exactly_four_certificates_at_half(self):
         certs = enumerate_irrotatable(DS_A, F(1, 2))
@@ -152,9 +158,8 @@ class TestThreeDimensional:
 
     def test_simplex_region_both_routes(self):
         want = sorted(self.SIMPLEX.points)
-        for method in ("cuts", "certificates"):
-            got = verts(depth_region(self.SIMPLEX, F(1, 4), method=method))
-            assert got == want
+        for poly in both_routes(self.SIMPLEX, F(1, 4)):
+            assert sorted(poly.vertices) == want
 
     def test_simplex_median(self):
         res = median_region(self.SIMPLEX)
@@ -218,7 +223,7 @@ class TestCertificates:
         with pytest.raises(ValueError):
             enumerate_irrotatable(col, F(1, 3))
         with pytest.raises(ValueError):
-            depth_region(col, F(1, 3), method="certificates")
+            reference_region_certificates(col, F(1, 3))
 
     def test_general_position_certificates_have_textbook_shape(self):
         rng = random.Random(20260817)
@@ -870,8 +875,7 @@ class TestHalfspacesAreReduced:
                 tau = F(k, ds.n)
                 self._check(depth_region(ds, tau).polytope.halfspaces, ds)
                 if full:
-                    res = depth_region(ds, tau, method="certificates")
-                    self._check(res.polytope.halfspaces, ds)
+                    self._check(reference_region_certificates(ds, tau)[0].halfspaces, ds)
                     self._check([c.halfspace for c in enumerate_irrotatable(ds, tau)], ds)
 
 
@@ -891,9 +895,9 @@ def _lattice_sets(rng, dim, count):
 
 
 class TestLevelsAboveTheMaximalDepth:
-    """Every level in (lambda*, 1] is one empty ``Polytope``, on every route:
-    ``affine_dim`` None, no vertices, and no error where no certificate
-    exists."""
+    """Every level in (lambda*, 1] is one empty ``Polytope``, from
+    ``depth_region`` and from the certificate reference: ``affine_dim``
+    None, no vertices, and no error where no certificate exists."""
 
     @staticmethod
     def _check_empty(poly, dim):
@@ -906,11 +910,11 @@ class TestLevelsAboveTheMaximalDepth:
         for ds in _lattice_sets(rng, dim, count):
             k_star = int(median_region(ds).lambda_star * ds.n)
             for k in range(k_star + 1, ds.n + 1):
-                for method in ("auto", "cuts", "certificates"):
-                    res = depth_region(ds, F(k, ds.n), method=method)
-                    self._check_empty(res.polytope, dim)
+                poly, certs = reference_region_certificates(ds, F(k, ds.n))
+                for p in (depth_region(ds, F(k, ds.n)).polytope, poly):
+                    self._check_empty(p, dim)
                 levels += 1
-                without_certificate += not res.certificates
+                without_certificate += not certs
         assert levels > count
         # on a line both ends always certify; in the plane and in space some
         # levels above lambda* have no certificate at all
@@ -930,7 +934,7 @@ class TestOneDimensionalLevels:
     def test_certificates_are_the_two_ends(self):
         # level k of a line is [v_k, v_{n-k+1}]: the halfspaces through the
         # two order statistics are its certificates at every level, and up to
-        # lambda* the certificate route gives the cuts route's polytope
+        # lambda* the certificate reference gives depth_region's polytope
         rng = random.Random(2212)
         for ds in _lattice_sets(rng, 1, 40):
             vals = sorted(p[0] for p in ds.points)
@@ -939,13 +943,30 @@ class TestOneDimensionalLevels:
                 ends = (halfspace((1,), vals[k - 1]), halfspace((-1,), -vals[ds.n - k]))
                 want = tuple(reference_certificate_for(ds, h, tau) for h in ends)
                 assert enumerate_irrotatable(ds, tau) == want, (ds.points, k)
-                cuts = depth_region(ds, tau, method="cuts")
-                certs = depth_region(ds, tau, method="certificates")
-                assert certs.certificates == want
-                assert cuts.polytope.empty == certs.polytope.empty == (
-                    vals[k - 1] > vals[ds.n - k])
-                if not cuts.polytope.empty:
-                    assert repr(certs.polytope) == repr(cuts.polytope), (ds.points, k)
+                cuts = depth_region(ds, tau).polytope
+                cert_poly, certs = reference_region_certificates(ds, tau)
+                assert certs == want
+                assert cuts.empty == cert_poly.empty == (vals[k - 1] > vals[ds.n - k])
+                if not cuts.empty:
+                    assert repr(cert_poly) == repr(cuts), (ds.points, k)
+
+
+class TestRegionMatchesCertificateReference:
+    @pytest.mark.parametrize("dim, count, max_n", [(1, 60, 10), (2, 100, 10), (3, 40, 8)])
+    def test_every_level_of_full_dimensional_sets_with_ties(self, dim, count, max_n):
+        # the certificates meet in the region up to lambda*, and above it
+        # both give the empty polytope
+        rng = random.Random(2300 + dim)
+        done = 0
+        while done < count:
+            ds = random_dataset(rng, dim, max_n=max_n, dup_prob=0.3, collinear_prob=0.3)
+            if affine_dimension(ds) < dim:
+                continue
+            for k in range(1, ds.n + 1):
+                a, b = both_routes(ds, F(k, ds.n))
+                assert (a.vertices, a.empty, a.affine_dim) == (
+                    b.vertices, b.empty, b.affine_dim), (ds.points, k)
+            done += 1
 
 
 class TestRegionOracleBattery:
@@ -959,7 +980,7 @@ class TestRegionOracleBattery:
             # when that still yields a valid tau <= 1
             for k in range(1, min(k_max + 1, ds.n) + 1):
                 tau = F(k, ds.n)
-                cuts = depth_region(ds, tau, method="cuts").polytope
+                cuts = depth_region(ds, tau).polytope
                 probes = list(cuts.vertices) + list(ds.points)
                 probes += [random_probe(rng, ds) for _ in range(10)]
                 for x in probes:
@@ -986,8 +1007,7 @@ class TestRegionOracleBattery:
             lam = median_region(ds).lambda_star
             for k in range(1, int(lam * ds.n) + 1):
                 tau = F(k, ds.n)
-                a = depth_region(ds, tau, method="cuts").polytope
-                b = depth_region(ds, tau, method="certificates").polytope
+                a, b = both_routes(ds, tau)
                 assert sorted(a.vertices) == sorted(b.vertices), (ds.points, tau)
             done += 1
 
@@ -1008,7 +1028,7 @@ class TestRegionOracleBattery:
                 for x in probes:
                     assert poly.contains(x) == (oracle_depth_count(x, ds) >= k)
                 if full:
-                    cert = depth_region(ds, tau, method="certificates").polytope
+                    cert = reference_region_certificates(ds, tau)[0]
                     assert sorted(cert.vertices) == sorted(poly.vertices)
             done += 1
 
