@@ -67,11 +67,10 @@ def _parse_point(text: str):
     return tuple(as_fraction(tok) for tok in text.replace(",", " ").split())
 
 
-def _add_input_flags(p: argparse.ArgumentParser, need_data: bool = False) -> None:
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", metavar="FILE", help="dataset file (one point per line)")
-    if not need_data:
-        p.add_argument("--spec", metavar="FILE", help="distribution spec file to sample from")
-        p.add_argument("--n", type=int, default=20, help="sample size when using --spec")
+    p.add_argument("--spec", metavar="FILE", help="distribution spec file to sample from")
+    p.add_argument("--n", type=int, default=20, help="sample size when using --spec")
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
     p.add_argument(
         "--precision",
@@ -85,25 +84,26 @@ def _add_input_flags(p: argparse.ArgumentParser, need_data: bool = False) -> Non
 def _load_dataset(args) -> DataSet:
     if args.data:
         return read_dataset(args.data)
-    spec_path = getattr(args, "spec", None)
-    if spec_path:
-        spec, opts = parse_spec_file(spec_path)
-        seed = args.seed if args.seed is not None else int(opts.get("seed", 0))
-        bits = (
-            args.precision
-            if args.precision is not None
-            else int(opts.get("precision", 53))
-        )
+    if args.spec:
+        spec, seed, bits = _load_spec(args)
         return sample(spec, args.n, seed=seed, bits=bits)
     raise ValueError("provide --data FILE or --spec FILE")
 
 
-def _load_spec(args):
+def _load_spec(args, default_bits: int = 53):
+    """The ``--spec`` law with its sampling seed and snap precision.
+
+    Each of ``--seed`` and ``--precision`` falls back to the spec file's
+    ``seed`` or ``precision`` option, and then to 0 or ``default_bits``.
+    """
     if not args.spec:
         raise ValueError("this command requires --spec FILE")
     spec, opts = parse_spec_file(args.spec)
     seed = args.seed if args.seed is not None else int(opts.get("seed", 0))
-    return spec, opts, seed
+    bits = getattr(args, "precision", None)  # probe has no --precision
+    if bits is None:
+        bits = int(opts.get("precision", default_bits))
+    return spec, seed, bits
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +233,8 @@ def _cmd_breakdown(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    spec, opts, seed = _load_spec(args)
+    spec, seed, bits = _load_spec(args, default_bits=21)
     schedule = tuple(int(tok) for tok in args.schedule.split(","))
-    bits = (
-        args.precision
-        if args.precision is not None
-        else int(opts.get("precision", 21))
-    )
     cfg = ExperimentConfig(
         name=args.name,
         spec=spec,
@@ -267,7 +262,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    spec, opts, seed = _load_spec(args)
+    spec, seed, _ = _load_spec(args)
     theta = _parse_point(args.theta) if args.theta else tuple([0] * spec.dim)
     if args.kind == "symmetry":
         report = halfspace_symmetry_probe(spec, theta, N=args.N, seed=seed)
@@ -290,12 +285,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec, opts, seed = _load_spec(args)
-    bits = (
-        args.precision
-        if args.precision is not None
-        else int(opts.get("precision", 53))
-    )
+    spec, seed, bits = _load_spec(args)
     ds = sample(spec, args.n, seed=seed, bits=bits)
     if args.out_file:
         write_dataset(ds, args.out_file)

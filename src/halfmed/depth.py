@@ -627,7 +627,7 @@ def median_interval_1d(values: Sequence[Fraction]) -> tuple[Fraction, Fraction, 
 # approximate paths (d > 3)
 
 
-def direction_net(d: int, count: int, seed: int = 0, rng=None) -> np.ndarray:
+def direction_net(d: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic direction net including the coordinate axes."""
     axes = np.concatenate([np.eye(d), -np.eye(d)])
     if d == 1:
@@ -636,9 +636,7 @@ def direction_net(d: int, count: int, seed: int = 0, rng=None) -> np.ndarray:
         angles = np.linspace(0.0, np.pi, count, endpoint=False)
         net = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return np.concatenate([net, -net, axes])
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-    raw = rng.standard_normal((count, d))
+    raw = np.random.Generator(np.random.Philox(key=seed)).standard_normal((count, d))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return np.concatenate([raw / norms, axes])
@@ -657,8 +655,7 @@ def approximate_depth(
     if len(xt) != d:
         raise ValueError("query point dimension does not match dataset")
     n = ds.n
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    net = direction_net(d, n_directions, rng=rng)
+    net = direction_net(d, n_directions, seed=seed)
     # data-driven candidates: differences of sample points
     pts = np.array([[float(c) for c in p] for p in ds.points])
     xf = np.array([float(c) for c in xt])

@@ -84,10 +84,6 @@ class DistributionSpec:
     points: tuple[tuple[float, ...], ...] | None = None
     weights: tuple[float, ...] | None = None
 
-    @property
-    def theta0(self) -> tuple[float, ...]:
-        return self.center
-
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown distribution variant {self.variant!r}")
@@ -717,9 +713,14 @@ def parse_spec_file(path) -> tuple[DistributionSpec, dict]:
 
 
 def format_spec(spec: DistributionSpec, inline: bool = False) -> str:
-    """Render a spec back to ``key = value`` text (round-trips with the parser).
+    """Render a spec back to ``key = value`` text.
 
-    With ``inline=True`` the pairs are joined by ``'; '`` on one line, for
+    The parser reads the text back to the same spec when any base is a
+    ball, sphere or mixture centred at the spec's center.  A base of
+    another variant is written by name, and the parser refuses it: for
+    example the ``base = AtomOnHyperplane`` of a degenerate sampler over
+    an atom law.  A base's own center is not written.  With
+    ``inline=True`` the pairs are joined by ``'; '`` on one line, for
     embedding in dataset metadata.
     """
     pairs: list[tuple[str, str]] = [

@@ -86,9 +86,7 @@ class ExperimentConfig:
 
     ``n_schedule`` must be strictly increasing; ``trials`` is the number of
     repetitions per schedule entry (for the oracle sweep it is the number of
-    instances, and ``max(n_schedule)`` caps the instance size).  ``search``
-    overrides the direction-search configuration; by default each run picks
-    probes plus the exact sweep only for small datasets, where it is cheap.
+    instances, and ``max(n_schedule)`` caps the instance size).
     """
 
     name: str
@@ -96,7 +94,6 @@ class ExperimentConfig:
     n_schedule: tuple[int, ...] = (50, 200, 800, 1600)
     trials: int = 20
     seed: int = 0
-    search: DirectionSearchConfig | None = None
     out_dir: str | None = None
     budget_s: float = 60.0
     precision_bits: int = 21
@@ -242,7 +239,7 @@ def trend_ok(medians: dict, allowed_blips: int = 1, key: str = "deviation") -> b
     return blips <= allowed_blips
 
 
-def run_convergence(cfg: ExperimentConfig, theta0=None) -> ConvergenceResult:
+def run_convergence(cfg: ExperimentConfig) -> ConvergenceResult:
     """Sample, solve, and aggregate the convergence experiment.
 
     Preflight: the law must pass the halfspace-symmetry probe and the
@@ -260,7 +257,7 @@ def run_convergence(cfg: ExperimentConfig, theta0=None) -> ConvergenceResult:
     if cfg.spec is None:
         raise ValueError("run_convergence requires a distribution spec")
     spec = cfg.spec
-    center = tuple(theta0) if theta0 is not None else spec.center
+    center = spec.center
 
     sym = halfspace_symmetry_probe(spec, center, seed=cfg.seed)
     if sym.verdict != "PASS":
@@ -273,7 +270,8 @@ def run_convergence(cfg: ExperimentConfig, theta0=None) -> ConvergenceResult:
     aborted = False
     counter = 0
     for n in cfg.n_schedule:
-        search = cfg.search or DirectionSearchConfig(seed=cfg.seed, exhaustive=n <= 64)
+        # the exact sweep only for small datasets, where it is cheap
+        search = DirectionSearchConfig(seed=cfg.seed, exhaustive=n <= 64)
         for trial in range(cfg.trials):
             counter += 1
             ds = _sample_full_dim(
@@ -519,7 +517,7 @@ def run_attack_demo(
             cfg.spec, max(cfg.n_schedule), _sub_seed(cfg.seed, 999), cfg.precision_bits
         )
     med = median_region(ds)
-    ub = upper_bound(ds, cfg.search, med.lambda_star)
+    ub = upper_bound(ds, lambda_star=med.lambda_star)
     rows: list[AttackDemoRow] = []
     plan0 = None
     for scale in scales:

@@ -346,26 +346,14 @@ class DataSet:
         return cached
 
 
-def dataset(
-    points: Iterable[Iterable[object]],
-    metadata: dict | None = None,
-    **extra: object,
-) -> DataSet:
+def dataset(points: Iterable[Iterable[object]], metadata: dict | None = None) -> DataSet:
     pts = tuple(tuple(as_fraction(c) for c in p) for p in points)
-    meta = dict(metadata) if metadata else {}
-    meta.update(extra)
-    return DataSet(pts, meta)
+    return DataSet(pts, dict(metadata) if metadata else {})
 
 
-def dataset_from_floats(
-    rows, bits: int = 53, metadata: dict | None = None, **extra: object
-) -> DataSet:
+def dataset_from_floats(rows, bits: int = 53, metadata: dict | None = None) -> DataSet:
     pts = tuple(tuple(snap(float(c), bits) for c in row) for row in rows)
-    meta = {"precision_bits": bits}
-    if metadata:
-        meta.update(metadata)
-    meta.update(extra)
-    return DataSet(pts, meta)
+    return DataSet(pts, {"precision_bits": bits, **(metadata or {})})
 
 
 # ---------------------------------------------------------------------------

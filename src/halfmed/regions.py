@@ -24,7 +24,9 @@ cuts only.
   halfspaces form a pencil through that contact, so the arc's endpoint
   halfspaces carve everything the arc can carve.  Critical directions form
   a finite family, which guarantees termination, and the loop scales to
-  thousands of points.
+  thousands of points.  Each cut's normal, like each box side's, is the
+  primitive integer vector of its direction, so no normal depends on the
+  order in which the points are scanned.
 * In space the cuts are the level's certificates, which all contain the
   region: a vertex lies outside the region exactly when one of them
   excludes it, an integer dot product each.  A level counts the depth of
@@ -45,7 +47,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import itertools
-import math
 import operator
 import time
 from dataclasses import dataclass
@@ -53,7 +54,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .depth import (
-    _levels_1d,
     depth_count,
     median_interval_1d,
     quantile_index,
@@ -91,9 +91,6 @@ from .polytope import (
 )
 
 _MAX_CUT_ROUNDS = 500
-
-# a direction of the planar cutting loop: an integer vector over a positive denominator
-_IntDirection = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,7 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
 
     if d == 1:
         k = quantile_index(ds.n, tau)
-        vals, _ = _levels_1d(p[0] for p in ds.points)
+        vals = sorted(p[0] for p in ds.points)
         out = []
         for h in (halfspace((1,), vals[k - 1]), halfspace((-1,), -vals[-k])):
             cert = certificate_for(ds, h, tau)
@@ -328,19 +325,17 @@ def enumerate_irrotatable(ds: DataSet, tau: object) -> tuple[IrrotatableCertific
 # cutting-plane region construction (d = 2 core)
 
 
-def _quantile_cut(ds: DataSet, ui: Sequence[int], uden: int, tau: Fraction) -> Halfspace:
-    """The halfspace ``u . x >= directional_quantile(ds, u, tau)`` for ``u = ui / uden``.
+def _quantile_cut(ds: DataSet, p: tuple[int, ...], tau: Fraction) -> Halfspace:
+    """The halfspace ``p . x >= directional_quantile(ds, p, tau)`` for a
+    primitive integer ``p``, which is its normal.
 
     An open scope keeps the integer rows ``r`` of ``ds.scaled_ints()``
-    sorted by ``p . r``, once per primitive direction ``p``, as references
-    to the rows rather than one new integer per row; with no scope open
-    they are sorted for this call only.  For ``ui = g p`` and ``r_k`` the
-    k-th row, the quantile is ``g p . r_k / (uden * scale)``, so the
-    halfspace is the integer row ``(scale ui, g p . r_k)`` over
-    ``uden * scale``.
+    sorted by ``p . r``, once per direction, as references to the rows
+    rather than one new integer per row; with no scope open they are sorted
+    for this call only.  For ``r_k`` the k-th row the quantile is
+    ``p . r_k / scale``, so the halfspace is the integer row
+    ``(scale p, p . r_k)`` over ``scale``.
     """
-    g = math.gcd(*ui)
-    p = tuple(c // g for c in ui)
     scale, rows = ds.scaled_ints()
     scope = ds._cache.get(_SCOPE)
     table = {} if scope is None else scope["sorted_rows"]
@@ -349,64 +344,50 @@ def _quantile_cut(ds: DataSet, ui: Sequence[int], uden: int, tau: Fraction) -> H
         projs = [sum(map(operator.mul, p, r)) for r in rows]
         ranked = table[p] = [rows[i] for i in sorted(range(len(rows)), key=projs.__getitem__)]
     pk = sum(map(operator.mul, p, ranked[quantile_index(ds.n, tau) - 1]))
-    return Halfspace.of_row(tuple(scale * c for c in ui), g * pk, uden * scale)
+    return Halfspace.of_row(tuple(scale * c for c in p), pk, scale)
 
 
 def _axis_quantile_box(ds: DataSet, tau: Fraction) -> list[Halfspace]:
     units = [tuple(int(i == j) for i in range(ds.dim)) for j in range(ds.dim)]
-    return [_quantile_cut(ds, s, 1, tau) for e in units for s in (e, tuple(-c for c in e))]
+    return [_quantile_cut(ds, s, tau) for e in units for s in (e, tuple(-c for c in e))]
 
 
-def _contact_location(ds: DataSet, u: Sequence[int], k: int) -> Vec:
-    """A location attaining the k-th smallest projection under the integer ``u``.
+def _contact_location(ds: DataSet, u: Sequence[int], k: int) -> tuple[int, ...]:
+    """The integer row of a location attaining the k-th smallest projection
+    under the integer ``u``.
 
-    The k-th entry of the points sorted by (projection, location): among
-    equal projections the lexicographically smallest location wins.  The
-    k-th projection is read from the sorted projections, and only the rows
-    tied with it are sorted by location.
+    The k-th of the rows of ``ds.scaled_ints()`` sorted by (projection,
+    row), which is the order of the points sorted by (projection, location):
+    among equal projections the lexicographically smallest location wins.
+    The k-th projection is read from the sorted projections, and only the
+    rows tied with it are sorted.
     """
     ux, uy = u
     _, rows = ds.scaled_ints()
     projs = [ux * x + uy * y for x, y in rows]
     ranked = sorted(projs)
     q = ranked[k - 1]
-    tied = sorted((r, i) for i, (r, t) in enumerate(zip(rows, projs)) if t == q)
-    return ds.points[tied[k - 1 - bisect.bisect_left(ranked, q)][1]]
+    tied = sorted(r for r, t in zip(rows, projs) if t == q)
+    return tied[k - 1 - bisect.bisect_left(ranked, q)]
 
 
-def _distinct_rows(ds: DataSet) -> list[tuple[int, ...]]:
-    """Integer rows of the distinct locations, in ``set(ds.points)`` order.
-
-    The order fixes which of several parallel critical directions (points
-    on one ray from the contact) the bracketing search keeps, so it matches
-    the order of the Fraction points exactly.  Cached per dataset.
-    """
-    cached = ds._cache.get("distinct_rows")
-    if cached is None:
-        _, rows = ds.scaled_ints()
-        row_of = dict(zip(ds.points, rows))
-        cached = [row_of[p] for p in set(ds.points)]
-        ds._cache["distinct_rows"] = cached
-    return cached
-
-
-def _bracketing_criticals_2d(ds: DataSet, u: Sequence[int], contact: Vec) -> list[_IntDirection]:
-    """Nearest critical directions on each side of the integer ``u``.
+def _bracketing_criticals_2d(
+    ds: DataSet, u: Sequence[int], contact: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Nearest critical directions on each side of the integer ``u``, as
+    primitive integer vectors.
 
     Critical directions are perpendiculars of differences between the
-    quantile contact location and other sample locations: rotating ``u``
-    past one changes the contact set.  If ``u`` is itself critical it is
-    returned alone, over 1.  The search runs on the integer rows, where each
-    perpendicular ``w`` is ``scale`` times the Fraction one, so each result
-    is ``(w, scale)``, the integer form of the direction that becomes the
-    cut normal.
+    quantile contact row and the other rows of ``ds.scaled_ints()``:
+    rotating ``u`` past one changes the contact set.  If ``u`` is itself
+    critical it is returned alone.  Points on one ray from the contact give
+    one direction, so the result does not depend on the order of the rows.
     """
     ux, uy = u
-    scale, _ = ds.scaled_ints()
-    cx, cy = (int(c * scale) for c in contact)
+    cx, cy = contact
     best_left: tuple[int, int] | None = None
     best_right: tuple[int, int] | None = None
-    for px, py in _distinct_rows(ds):
+    for px, py in ds.scaled_ints()[1]:
         dx = px - cx
         dy = py - cy
         if dx == 0 and dy == 0:
@@ -415,14 +396,14 @@ def _bracketing_criticals_2d(ds: DataSet, u: Sequence[int], contact: Vec) -> lis
         # and -w then lies clockwise; c == 0 means u is already critical
         c = ux * dx + uy * dy
         if c == 0:
-            return [(u, 1)]
+            return [primitive(u)]
         left = (-dy, dx) if c > 0 else (dy, -dx)
         right = (-left[0], -left[1])
         if best_left is None or (left[0] * best_left[1] - left[1] * best_left[0]) > 0:
             best_left = left
         if best_right is None or (right[0] * best_right[1] - right[1] * best_right[0]) < 0:
             best_right = right
-    return [(w, scale) for w in (best_left, best_right) if w is not None]
+    return [primitive(w) for w in (best_left, best_right) if w is not None]
 
 
 def _region_by_cuts_2d(
@@ -430,11 +411,13 @@ def _region_by_cuts_2d(
     tau: Fraction,
     k: int,
     deadline: float | None,
-    seed_directions: Sequence[_IntDirection] = (),
-) -> tuple[Polytope, list[_IntDirection]]:
+    seed_directions: Sequence[tuple[int, ...]] = (),
+) -> tuple[Polytope, list[tuple[int, ...]]]:
     """Exact cutting-plane loop; returns the region and the cut directions.
 
-    A cut's direction is its normal ``(cut.ints[0], cut.den)``.
+    Every direction, seed or returned, is a primitive integer vector, and
+    it is the normal of its cut.  So two cuts are the same set exactly when
+    they are equal, and the loop admits each set once.
 
     One integer polygon is carried through the rounds: the axis quantile
     box, clipped by the seed cuts and then by each round's new cuts.  In an
@@ -442,15 +425,12 @@ def _region_by_cuts_2d(
     the last round, are left in the scope's ``counts``.
     """
     constraints: list[Halfspace] = []
-    # a cut is new unless its primitive integer (normal, offset) was seen
-    seen_keys: set[tuple[int, ...]] = set()
+    seen: set[Halfspace] = set()
 
     def admit(h: Halfspace) -> bool:
-        normal, offset = h.ints
-        key = primitive((*normal, offset))
-        if key in seen_keys:
+        if h in seen:
             return False
-        seen_keys.add(key)
+        seen.add(h)
         constraints.append(h)
         return True
 
@@ -460,17 +440,14 @@ def _region_by_cuts_2d(
     xlo, neg_xhi, ylo, neg_yhi = (h.offset for h in constraints)
     poly = _box_polygon(xlo, -neg_xhi, ylo, -neg_yhi)
     start = len(constraints)  # the constraints from here on are not clipped yet
-    directions: list[_IntDirection] = []
-    for ui, uden in seed_directions:
-        if admit(_quantile_cut(ds, ui, uden, tau)):
-            directions.append((ui, uden))
+    directions = [p for p in seed_directions if admit(_quantile_cut(ds, p, tau))]
     certified: dict[tuple[int, int, int], int] = {}
     for _ in range(_MAX_CUT_ROUNDS):
         _check_deadline(deadline)
         for h in constraints[start:]:
             poly = _clip(poly, *h.ints)
         if not poly:
-            return _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly), directions
+            return _polygon_polytope(tuple(constraints), poly), directions
         start = len(constraints)
         for hv in poly:
             # a vertex certified before is deep: a shallow one is strictly
@@ -487,20 +464,19 @@ def _region_by_cuts_2d(
             wi = tuple(c.numerator for c in u_wit)  # witnesses are integer vectors
             contact = _contact_location(ds, wi, k)
             cuts = []
-            for w, wden in _bracketing_criticals_2d(ds, wi, contact):
-                cut = _quantile_cut(ds, w, wden, tau)
+            for w in _bracketing_criticals_2d(ds, wi, contact):
+                cut = _quantile_cut(ds, w, tau)
                 (a, b), c = cut.ints
                 if a * hv[0] + b * hv[1] < c * hv[2]:
-                    cuts.append(cut)
+                    cuts.append((w, cut))
             if not cuts:
                 # rare fallback: the raw witness quantile halfspace always
                 # separates v from the region
-                cuts.append(_quantile_cut(ds, wi, 1, tau))
-            for cut in cuts:
-                if admit(cut):
-                    directions.append((cut.ints[0], cut.den))
+                w = primitive(wi)
+                cuts.append((w, _quantile_cut(ds, w, tau)))
+            directions.extend(w for w, cut in cuts if admit(cut))
         if len(constraints) == start:
-            region = _polygon_polytope(tuple(dedup_halfspaces(constraints)), poly)
+            region = _polygon_polytope(tuple(constraints), poly)
             scope = ds._cache.get(_SCOPE)
             if scope is not None:
                 scope["counts"].update(zip(region.vertices, map(certified.__getitem__, poly)))
@@ -542,9 +518,10 @@ def _interval(lo: Fraction, hi: Fraction) -> Polytope:
 
 
 def _region_1d(ds: DataSet, k: int) -> Polytope:
-    """Level k of 1-D data, ``[v_k, v_{n-k+1}]``: empty above the deepest level."""
-    vals, top = _levels_1d(p[0] for p in ds.points)
-    return _interval(vals[k - 1], vals[-k]) if k <= top else _empty_region(1)
+    """Level k of 1-D data, ``[v_k, v_{n-k+1}]``: empty above the deepest
+    level, where the two order statistics cross."""
+    vals = sorted(p[0] for p in ds.points)
+    return _interval(vals[k - 1], vals[-k])
 
 
 def _region_3d_lazy_certificates(
@@ -652,8 +629,8 @@ def _coordinatewise_median(ds: DataSet) -> Vec:
     cols = []
     for j in range(ds.dim):
         e = tuple(int(i == j) for i in range(ds.dim))
-        cols.append((_quantile_cut(ds, e, 1, Fraction((n + 1) // 2, n)).offset
-                     + _quantile_cut(ds, e, 1, Fraction(n // 2 + 1, n)).offset) / 2)
+        cols.append((_quantile_cut(ds, e, Fraction((n + 1) // 2, n)).offset
+                     + _quantile_cut(ds, e, Fraction(n // 2 + 1, n)).offset) / 2)
     return tuple(cols)
 
 
@@ -697,7 +674,7 @@ def _bisect_levels(
     build is seeded with the previous build's cut directions.
     """
     n = ds.n
-    seeds: list[_IntDirection] = []
+    seeds: list[tuple[int, ...]] = []
 
     def build(k: int) -> Polytope:
         nonlocal seeds

@@ -217,10 +217,11 @@ def reference_coordinatewise_median(ds: DataSet):
 
 
 def reference_bracketing_criticals_2d(ds: DataSet, u, contact):
-    """Nearest perpendiculars of ``p - contact`` on each side of ``u``.
+    """Nearest perpendiculars of ``p - contact`` on each side of ``u``, as
+    primitive integer vectors (in Fractions).
 
     Scans ``set(ds.points)`` and keeps the first of several parallel
-    candidates, so the returned vectors carry the length of a difference.
+    candidates; made primitive, any of them gives the same direction.
     """
     best_left = best_right = None
     for p in set(ds.points):
@@ -232,14 +233,14 @@ def reference_bracketing_criticals_2d(ds: DataSet, u, contact):
             c = u[0] * w[1] - u[1] * w[0]
             if c == 0:
                 if u[0] * w[0] + u[1] * w[1] > 0:
-                    return [u]
+                    return [_reference_primitive(u)]
                 continue
             if c > 0:
                 if best_left is None or w[0] * best_left[1] - w[1] * best_left[0] > 0:
                     best_left = w
             elif best_right is None or w[0] * best_right[1] - w[1] * best_right[0] < 0:
                 best_right = w
-    return [tuple(Fraction(c) for c in w) for w in (best_left, best_right) if w is not None]
+    return [_reference_primitive(w) for w in (best_left, best_right) if w is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +697,8 @@ def reference_depth3_int(c0, vecs):
 
 
 def reference_region_by_cuts_2d(ds: DataSet, tau, k: int, seed_directions=()):
-    """The 2-D cutting loop with one reference intersection per round."""
+    """The 2-D cutting loop with one reference intersection per round; the
+    seeds and every cut's normal are primitive integer directions."""
     from halfmed.depth import directional_quantile, witness_cut
     from halfmed.geometry import halfspace
     from halfmed.regions import _axis_quantile_box
@@ -733,13 +735,14 @@ def reference_region_by_cuts_2d(ds: DataSet, tau, k: int, seed_directions=()):
                 if sum(wc * vc for wc, vc in zip(w, v)) < qw:
                     cuts.append(halfspace(w, qw))
             if not cuts:
-                cuts.append(halfspace(u_wit, directional_quantile(ds, u_wit, tau)))
+                w = _reference_primitive(u_wit)
+                cuts.append(halfspace(w, directional_quantile(ds, w, tau)))
             for h in cuts:
                 key = h.canonical_key()
                 if key not in seen_keys:
                     seen_keys.add(key)
                     constraints.append(h)
-                    directions.append(h.normal)
+                    directions.append(tuple(map(int, h.normal)))  # primitive
                     added = True
         if not added:
             return poly, directions

@@ -336,6 +336,59 @@ class TestSampleAndProbe:
         assert "NON-SMOOTH" in out
 
 
+class TestSpecInputPinned:
+    """Byte-exact stdout of the spec-file paths: a sampled dataset for
+    ``depth``, ``sample`` to stdout and the continuity probe.  Each of
+    ``--seed`` and ``--precision`` falls back to the spec file's option."""
+
+    OPTS_SPEC = BALL_SPEC + "seed = 5\nprecision = 8\n"
+
+    @pytest.fixture
+    def specs(self, tmp_path):
+        out = {}
+        for name, text in (("ball", BALL_SPEC), ("opts", self.OPTS_SPEC)):
+            out[name] = tmp_path / f"{name}.spec"
+            out[name].write_text(text)
+        return {k: str(v) for k, v in out.items()}
+
+    @pytest.mark.parametrize("spec, flags, want", [
+        pytest.param("ball", ["--n", "7", "--seed", "2", "--precision", "8", "--point", "0,0"],
+                     "depth    1/7  (1 of 7 points)\n"
+                     "witness  (-1, -7619/14591)  (closed halfspace attaining the minimum)\n"
+                     "boundary 0 points on the witness hyperplane\n", id="flags"),
+        pytest.param("opts", ["--n", "6", "--point", "1/8,0"],
+                     "depth    1/6  (1 of 6 points)\n"
+                     "witness  (-1, 5090103/1232599)  (closed halfspace attaining the minimum)\n"
+                     "boundary 0 points on the witness hyperplane\n", id="spec-options"),
+    ])
+    def test_depth_on_a_sampled_dataset(self, capsys, specs, spec, flags, want):
+        assert run(capsys, ["depth", "--spec", specs[spec]] + flags) == (0, want, "")
+
+    @pytest.mark.parametrize("spec, flags, want", [
+        pytest.param("ball", ["--n", "4", "--seed", "4", "--precision", "10"],
+                     "0 489/1024\n-1/16 165/512\n37/1024 -189/256\n-39/1024 -739/1024\n",
+                     id="flags"),
+        pytest.param("opts", ["--n", "3"], "51/64 119/256\n33/256 53/256\n5/16 -3/128\n",
+                     id="spec-options"),
+    ])
+    def test_sample_to_stdout(self, capsys, specs, spec, flags, want):
+        assert run(capsys, ["sample", "--spec", specs[spec]] + flags) == (0, want, "")
+
+    def test_continuity_probe(self, capsys, specs):
+        want = (
+            "depth-continuity: estimate=0.47 half_width=0.022 N=2000 -> CONTINUOUS\n"
+            "  center_estimate: 0.4805\n"
+            "  center_half_width: 0.021896794646705714\n"
+            "  side_estimates: ((0.5, 0.187, 0.017088626182347137), "
+            "(0.1, 0.431, 0.021703803150600123), (0.02, 0.47, 0.021873986376515827))\n"
+            "  tolerance: 0.03\n"
+            "  final_gap: 0.01050000000000001\n"
+        )
+        argv = ["probe", "--spec", specs["ball"], "--kind", "continuity", "--N", "2000",
+                "--seed", "1"]
+        assert run(capsys, argv) == (0, want, "")
+
+
 class TestConvergenceCommand:
     def test_preflight_refusal(self, capsys, tmp_path):
         spec = tmp_path / "cloud.spec"

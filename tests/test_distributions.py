@@ -269,6 +269,29 @@ class TestSpecFiles:
             assert parsed == spec, text
             assert extra == {}
 
+    def test_round_trip_with_center_base_and_weights(self):
+        specs = [
+            uniform_ball(3, 0.5, (1.0, 0.0, -2.0)),
+            degenerate_sampler(uniform_sphere(2, 2.0, (0.5, -1.0)), 0.1, 0.2),
+            degenerate_sampler(ball_sphere_mixture(2), 0.25, 0.0),
+            atom_on_hyperplane(2, 0.3, uniform_sphere(2, 1.5)),
+            discrete_cloud([(0, 0), (1, 0), (0, 2.5)], [1, 2, 3]),
+        ]
+        for spec in specs:
+            text = format_spec(spec)
+            assert parse_spec_text(text) == (spec, {}), text
+        assert "center = 0.5 -1.0" in format_spec(specs[1])
+        assert "base = UniformSphere\nbase_radius = 2.0" in format_spec(specs[1])
+        assert "weights = 1.0 2.0 3.0" in format_spec(specs[4])
+
+    def test_a_base_the_parser_refuses(self):
+        # a base that is not a ball, sphere or mixture is written by name,
+        # and the parser refuses it: the round trip's stated limit
+        text = format_spec(degenerate_sampler(atom_on_hyperplane(2, 0.3), 0.1, 0.2))
+        assert "base = AtomOnHyperplane" in text
+        with pytest.raises(ValueError, match="base must be"):
+            parse_spec_text(text)
+
     def test_leftover_options_are_returned(self):
         spec, extra = parse_spec_text("variant = ball\ndim = 2\nseed = 9\n")
         assert spec == uniform_ball(2, 1.0)

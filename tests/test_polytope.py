@@ -5,6 +5,8 @@ import operator
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from halfmed.geometry import Halfspace, as_fraction, convex_hull_2d, dataset, halfspace, point
 from halfmed.polytope import (
     Polytope,
@@ -770,6 +772,20 @@ class TestRegionExport:
         assert rows == ["x1", line]
         hs = (tmp_path / "big_halfspaces.txt").read_text().splitlines()
         assert [as_fraction(h.split(" >= ")[1]) for h in hs] == [c, -c]
+
+    @pytest.mark.parametrize("hs, header", [
+        ([halfspace((1,), 2), halfspace((-1,), -1)], "# empty region\n"),
+        ([halfspace((1, 0), 0), halfspace((0, 1), 0)],
+         "# unbounded region (no vertex enumeration)\n"),
+    ], ids=["empty", "unbounded"])
+    def test_empty_and_unbounded_regions(self, tmp_path, hs, header):
+        p = intersect_halfspaces(hs)
+        write_region_files(p, tmp_path, "r")
+        assert (tmp_path / "r_vertices.txt").read_text() == header
+        lines = "".join(f"{' '.join(map(str, h.normal))} >= {h.offset}\n" for h in hs)
+        assert (tmp_path / "r_halfspaces.txt").read_text() == lines
+        header_row = ",".join(f"x{i + 1}" for i in range(p.dim))
+        assert (tmp_path / "r_vertices.csv").read_bytes() == f"{header_row}\r\n".encode()
 
     def test_halfspace_file_mentions_all(self, tmp_path):
         p = intersect_halfspaces(_square())

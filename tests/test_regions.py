@@ -270,15 +270,16 @@ class TestCuttingHelpersMatchFractionFormulas:
     DIRECTIONS += [(F(1, 3), F(-2, 5)), (F(-7, 2), F(7, 2))]
 
     def _check(self, ds):
-        # the helpers take the direction's integer vector, and each critical
-        # direction comes back as an integer vector over its denominator
+        # the helpers take the direction's integer vector and the contact's
+        # integer row, and each critical direction comes back primitive
+        row_of = dict(zip(ds.points, ds.scaled_ints()[1]))
         for u in self.DIRECTIONS:
             ui = int_point(u)[1]
             for k in range(1, ds.n + 1):
-                assert _contact_location(ds, ui, k) == reference_contact_location(ds, u, k)
+                want = reference_contact_location(ds, u, k)
+                assert _contact_location(ds, ui, k) == row_of[want]
             for contact in set(ds.points):
-                got = _bracketing_criticals_2d(ds, ui, contact)
-                got = [tuple(F(c, den) for c in w) for w, den in got]
+                got = _bracketing_criticals_2d(ds, ui, row_of[contact])
                 assert got == reference_bracketing_criticals_2d(ds, ui, contact)
 
     def test_tied_data(self):
@@ -300,14 +301,6 @@ class TestCuttingHelpersMatchFractionFormulas:
             self._check(random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4))
 
 
-def _cut_loop(ds, tau, k, seeds):
-    """The 2-D cutting loop with its directions read as Fraction vectors,
-    the form the reference loop takes and returns."""
-    poly, dirs = regions._region_by_cuts_2d(
-        ds, tau, k, None, [(ui, q) for q, ui in map(int_point, seeds)])
-    return poly, [tuple(F(c, den) for c in ui) for ui, den in dirs]
-
-
 class TestPolygonLoopMatchesReference:
     """The clipped-polygon cutting loop against the re-intersecting one.
 
@@ -326,12 +319,12 @@ class TestPolygonLoopMatchesReference:
 
     def _check(self, ds, seen):
         n = ds.n
-        fixed = [(F(1), F(1)), (F(-1, 2), F(1)), (F(2), F(-3))]
+        fixed = [(1, 1), (-1, 2), (2, -3)]
         prev: list = []
         for k in range(1, n + 1):
             tau = F(k, n)
             for seeds in ([], fixed, prev):
-                got = _cut_loop(ds, tau, k, seeds)
+                got = regions._region_by_cuts_2d(ds, tau, k, None, seeds)
                 want = reference_region_by_cuts_2d(ds, tau, k, seeds)
                 assert (repr(got[0]), got[1]) == (repr(want[0]), want[1]), (ds.points, k, seeds)
                 poly = got[0]
@@ -355,14 +348,14 @@ class TestPolygonLoopMatchesReference:
 
     def test_one_scope_serves_every_level_in_any_order(self):
         # one open scope, whose projection table outlives each level, against
-        # the reference loop run outside any scope; the seeds include a
-        # non-primitive direction and the previous level's cuts
+        # the reference loop run outside any scope; the seeds are fixed
+        # primitive directions and the previous level's cuts
         rng = random.Random(2034)
         sets = self.DATASETS + [
             random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4) for _ in range(6)
         ]
         sets += [sample(uniform_ball(2), n=14, seed=seed, bits=21) for seed in (3, 4)]
-        fixed = [(F(2), F(4)), (F(-1, 2), F(1)), (F(2), F(-3))]
+        fixed = [(1, 2), (-1, 2), (2, -3)]
         for ds in sets:
             n = ds.n
             jobs, prev = [], []
@@ -374,7 +367,7 @@ class TestPolygonLoopMatchesReference:
             rng.shuffle(jobs)
             with regions._level_scope(ds, None) as scope:
                 for k, seeds, want in jobs:
-                    got = _cut_loop(ds, F(k, n), k, seeds)
+                    got = regions._region_by_cuts_2d(ds, F(k, n), k, None, seeds)
                     assert (repr(got[0]), got[1]) == want, (ds.points, k, seeds)
                 assert scope["sorted_rows"] and scope["counts"]
             # the loop leaves its vertices' exact counts in the scope
@@ -878,6 +871,25 @@ class TestHalfspacesAreReduced:
                     self._check(reference_region_certificates(ds, tau)[0].halfspaces, ds)
                     self._check([c.halfspace for c in enumerate_irrotatable(ds, tau)], ds)
 
+    def test_planar_normals_are_primitive(self):
+        # box sides and cuts alike: each normal is the primitive integer
+        # vector of its direction, at every level, the empty ones included,
+        # so no normal depends on the order in which points are scanned
+        rng = random.Random(2410)
+        sets = TestPolygonLoopMatchesReference.DATASETS + _level_search_2d_sets()[:16]
+        sets += [random_dataset(rng, 2, max_n=10, dup_prob=0.4, collinear_prob=0.4)
+                 for _ in range(12)]
+        sets.append(sample(degenerate_sampler(uniform_ball(2), 0.2, 0.3), 50, seed=3, bits=21))
+        empty = 0
+        for ds in sets:
+            polys = [depth_region(ds, F(k, ds.n)).polytope for k in range(1, ds.n + 1)]
+            for poly in polys + [median_region(ds).region]:
+                empty += poly.empty
+                for h in poly.halfspaces:
+                    assert all(c.denominator == 1 for c in h.normal), (ds.points, h)
+                    assert math.gcd(*(c.numerator for c in h.normal)) == 1, (ds.points, h)
+        assert empty > len(sets)
+
 
 # ---------------------------------------------------------------------------
 # invariants on random degenerate instances
@@ -933,8 +945,9 @@ class TestLevelsAboveTheMaximalDepth:
 class TestOneDimensionalLevels:
     def test_certificates_are_the_two_ends(self):
         # level k of a line is [v_k, v_{n-k+1}]: the halfspaces through the
-        # two order statistics are its certificates at every level, and up to
-        # lambda* the certificate reference gives depth_region's polytope
+        # two order statistics are its certificates at every level, and the
+        # certificate reference gives depth_region's polytope at every level,
+        # the empty ones above lambda* included
         rng = random.Random(2212)
         for ds in _lattice_sets(rng, 1, 40):
             vals = sorted(p[0] for p in ds.points)
@@ -947,8 +960,7 @@ class TestOneDimensionalLevels:
                 cert_poly, certs = reference_region_certificates(ds, tau)
                 assert certs == want
                 assert cuts.empty == cert_poly.empty == (vals[k - 1] > vals[ds.n - k])
-                if not cuts.empty:
-                    assert repr(cert_poly) == repr(cuts), (ds.points, k)
+                assert repr(cert_poly) == repr(cuts), (ds.points, k)
 
 
 class TestRegionMatchesCertificateReference:

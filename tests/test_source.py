@@ -73,6 +73,19 @@ def test_halfspaces_are_built_only_in_geometry():
     assert found == []
 
 
+def test_no_loop_iterates_an_unsorted_set():
+    # a set's iteration order is a hash order, which must not reach an
+    # output: a ``for`` loop or comprehension over ``set(...)`` or
+    # ``frozenset(...)`` sorts it first
+    found = []
+    for path, node in _nodes():
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            if isinstance(it, ast.Call) and getattr(it.func, "id", None) in ("set", "frozenset"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', it.lineno)}")
+    assert found == []
+
+
 _LAYERS = ["geometry", "polytope", "depth", "regions", "breakdown", "distributions",
            "experiments", "cli"]
 
